@@ -48,7 +48,6 @@ var (
 	retryFlag   = flag.Int("retries", 0, "resilient: extra attempts per engine on retryable failures before degrading (0 = fail fast)")
 	fbFlag      = flag.String("fallback", "", "resilient: comma-separated engine degradation chain tried after the retry budget, e.g. lp,seq")
 	ckptFlag    = flag.Int("checkpoint-every", 0, "resilient: snapshot crash-consistent state every N settle boundaries so retries resume instead of restarting (0 = off)")
-	inboxFlag   = flag.Int("inbox-cap", 0, "lp: per-LP inbox capacity (0 = default)")
 	traceFlag   = flag.String("trace-out", "", "record a flight-recorder trace and write it as Chrome trace_event JSON (load in Perfetto or chrome://tracing)")
 	metricsFlag = flag.Bool("metrics", false, "print the run's uniform metrics map (all engine counters, dot-namespaced)")
 	// Ablation toggles (HJ engine).
@@ -95,7 +94,6 @@ func main() {
 		TimeWarpWindow:    *twWindow,
 		TimeWarpSaveEvery: *twSaveEvery,
 		TimeWarpAdaptive:  *twAdaptive,
-		LPInboxCap:        *inboxFlag,
 		CheckpointEvery:   *ckptFlag,
 		DiscardOutputs:    !*verifyFlag && *vcdFlag == "",
 	}
@@ -106,18 +104,14 @@ func main() {
 	var eng core.Engine
 	switch {
 	case *chaosFlag != "" && (*engineFlag == "lp" || *engineFlag == "lp-hj"):
-		// lp-family chaos lives on the message plane: the interceptor
-		// sits on the cross-partition delivery path in both engines.
+		// lp chaos lives on the message plane: the interceptor sits on
+		// the cross-partition delivery path.
 		ccfg, err := chaos.ParseSpec(*chaosFlag)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		injector = chaos.New(ccfg)
-		if *engineFlag == "lp-hj" {
-			eng = core.NewLPHJIntercepted(opts, injector.Factory())
-		} else {
-			eng = core.NewLPIntercepted(opts, injector.Factory())
-		}
+		eng = core.NewLPHJIntercepted(opts, injector.Factory())
 	case *chaosFlag != "":
 		// Every other engine takes scheduler-level faults (task panics,
 		// lost/delayed wakeups, rollback storms) through core.ChaosHooks.

@@ -37,7 +37,7 @@ var (
 	csvFlag     = flag.Bool("csv", false, "emit CSV instead of aligned text")
 	circuitFlag = flag.String("circuit", "", "restrict experiments to one paper circuit by name (e.g. koggestone-64)")
 	jsonFlag    = flag.String("json", "", "with -exp bench/lpk: write machine-readable records to this file ('-' for stdout)")
-	ksFlag      = flag.String("ks", "1,8,64,256", "with -exp lpk: comma-separated partition counts for the lp vs lp-hj over-decomposition sweep")
+	ksFlag      = flag.String("ks", "1,8,64,256", "with -exp lpk: comma-separated partition counts for the lp-hj over-decomposition sweep")
 	winsFlag    = flag.String("wins", "0,64,256", "with -exp tw: comma-separated optimism windows for the timewarp vs tw-hj sweep (0 = unbounded)")
 	hjAblFlag   = flag.Bool("hjablations", false, "with -exp bench: add hj scheduler ablation rows (hj-noaff, hj-steal1) at each worker count")
 	retryFlag   = flag.Int("retries", 0, "resilient: extra attempts per engine on retryable failures (0 = fail fast)")
@@ -46,7 +46,7 @@ var (
 	addrFlag    = flag.String("addr", "", "with -exp serve: target dessimd base URL (empty = host an in-process server)")
 	clientsFlag = flag.Int("clients", 8, "with -exp serve: concurrent closed-loop load clients")
 	jobsPerFlag = flag.Int("jobsper", 4, "with -exp serve: jobs each client must complete")
-	engFlag     = flag.String("engines", "seq,hj,lp,lp-hj,tw-hj", "with -exp serve: comma-separated engines assigned round-robin (known: "+strings.Join(core.EngineNames(), " | ")+")")
+	engFlag     = flag.String("engines", "seq,hj,lp-hj,tw-hj", "with -exp serve: comma-separated engines assigned round-robin (known: "+strings.Join(core.EngineNames(), " | ")+")")
 )
 
 func fatalf(format string, args ...any) {

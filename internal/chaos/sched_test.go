@@ -246,11 +246,12 @@ func TestRollbackStormTWHJ(t *testing.T) {
 // TestChaosSoakAllEngines is the full recovery soak: every registered
 // engine × every scheduler fault kind × several seeds, each run under
 // core.Resilient with checkpoint-resume and a seq fallback, each output
-// compared bit for bit against the sequential oracle. The lp engine takes
-// its faults through the inbox injector instead (delayed releases,
-// duplicated nulls, kill-and-restart) since its chaos surface is the
-// message plane, not a shared scheduler. ~200 runs; -short trims the seed
-// axis, CI's chaos-soak job runs the full matrix under -race.
+// compared bit for bit against the sequential oracle. Under its "lp"
+// name the LP engine takes its faults through the message-plane injector
+// instead (delayed releases, duplicated nulls, kill-and-restart); under
+// "lp-hj" it takes the scheduler faults like the other hj engines. ~200
+// runs; -short trims the seed axis, CI's chaos-soak job runs the full
+// matrix under -race.
 func TestChaosSoakAllEngines(t *testing.T) {
 	c := circuit.ParityChain(12)
 	stim := circuit.RandomStimulus(c, 4, c.SettleTime()+10, 53)
@@ -298,7 +299,7 @@ func schedConfigFor(kind string, seed int64) chaos.SchedConfig {
 	return cfg
 }
 
-// runResilientLPChaos drives the lp engine through the message-plane
+// runResilientLPChaos drives the LP engine through the message-plane
 // injector under the same resilient envelope as the scheduler families.
 func runResilientLPChaos(t *testing.T, kind string, seed int64, c *circuit.Circuit, stim *circuit.Stimulus) *core.Result {
 	t.Helper()
@@ -313,7 +314,7 @@ func runResilientLPChaos(t *testing.T, kind string, seed int64, c *circuit.Circu
 	}
 	inj := chaos.New(cfg)
 	opts := core.Options{Partitions: 3, CheckpointEvery: 1}
-	e := core.NewLPIntercepted(opts, inj.Factory())
+	e := core.NewLPHJIntercepted(opts, inj.Factory())
 	res, err := core.Resilient(nil, e, c, stim, core.ResilientConfig{
 		Supervise: core.SuperviseConfig{Timeout: 30 * time.Second, StallTimeout: 5 * time.Second},
 		Retry:     core.RetryPolicy{Retries: 2, Backoff: time.Millisecond, Seed: seed},

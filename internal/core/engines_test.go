@@ -26,8 +26,6 @@ func testEngines(workers int) []Engine {
 		NewGaloisFine(Options{Workers: workers, Paranoid: true}),
 		NewOrdered(Options{Workers: workers, Paranoid: true}),
 		NewActor(Options{Workers: workers, Paranoid: true}),
-		NewLP(Options{Workers: workers, Paranoid: true}),
-		NewLP(Options{Partitions: 3, Paranoid: true}),
 		NewLPHJ(Options{Workers: workers, Paranoid: true}),
 		NewLPHJ(Options{Workers: workers, Partitions: 3, Paranoid: true}),
 		NewLPHJ(Options{Workers: 2, Partitions: 16, Paranoid: true}),
@@ -67,9 +65,8 @@ func verifyAllEngines(t *testing.T, c *circuit.Circuit, nWaves int, seed int64) 
 	if ref.TotalEvents == 0 {
 		t.Fatalf("%s: reference processed no events", c.Name)
 	}
-	for _, e := range testEngines(4) {
-		e := e
-		t.Run(e.Name(), func(t *testing.T) {
+	check := func(name string, e Engine) {
+		t.Run(name, func(t *testing.T) {
 			res, err := RunAndVerify(e, c, waves, period)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", e.Name(), c.Name, err)
@@ -78,6 +75,18 @@ func verifyAllEngines(t *testing.T, c *circuit.Circuit, nWaves int, seed int64) 
 				t.Fatalf("%s disagrees with sequential reference: %s", e.Name(), diff)
 			}
 		})
+	}
+	for _, e := range testEngines(4) {
+		check(e.Name(), e)
+	}
+	// The registry alias "lp" builds the lp-hj engine; its subtests
+	// resolve it by name, with and without an explicit partition count.
+	for _, o := range []Options{{Workers: 4, Paranoid: true}, {Partitions: 3, Paranoid: true}} {
+		e, err := NewEngine("lp", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("lp", e)
 	}
 }
 
@@ -322,7 +331,6 @@ func TestEngineNames(t *testing.T) {
 		"galois-fine":    NewGaloisFine(Options{}),
 		"galois-ordered": NewOrdered(Options{}),
 		"actor":          NewActor(Options{}),
-		"lp":             NewLP(Options{}),
 		"lp-hj":          NewLPHJ(Options{}),
 	}
 	for name, e := range want {

@@ -87,6 +87,12 @@ func TestGVTSnapshotUnderTraffic(t *testing.T) {
 	ch := make(chan msg, actors*8)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// Every actor starts at LVT 0 and sends spontaneously, so its floor
+	// must read 0 before the sweeper can take a snapshot; the harness's
+	// idle floor of infinity would let the first snapshot publish GVT = ∞.
+	for i := range r.cells {
+		r.cells[i].floor.Store(0)
+	}
 
 	// Sweeper: publish monotone GVT from successful snapshots, as the
 	// engine's sweep does.

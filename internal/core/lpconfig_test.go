@@ -7,34 +7,32 @@ import (
 	"hjdes/internal/circuit"
 )
 
-// TestLPOptionValidation checks that the lp-family engines reject
-// nonsensical Options up front with a structured, non-retryable
-// *EngineError (Reason=FailConfig) instead of a late panic, and that
-// sane defaults still run.
+// TestLPOptionValidation checks that the LP engine, under both of its
+// registry names, rejects nonsensical Options up front with a
+// structured, non-retryable *EngineError (Reason=FailConfig) instead of
+// a late panic, and that sane defaults still run.
 func TestLPOptionValidation(t *testing.T) {
 	c := circuit.FullAdder()
 	stim := circuit.VectorWaves(c, randomWaves(c, 2, 9), c.SettleTime()+10)
-	factories := map[string]func(Options) Engine{
-		"lp":    NewLP,
-		"lp-hj": NewLPHJ,
-	}
 	cases := []struct {
 		name   string
 		opts   Options
 		wantOK bool
 	}{
 		{"defaults", Options{}, true},
-		{"explicit", Options{Workers: 2, Partitions: 3, LPInboxCap: 8}, true},
-		{"negative-inbox", Options{LPInboxCap: -1}, false},
-		{"huge-inbox", Options{LPInboxCap: 1 << 30}, false},
+		{"explicit", Options{Workers: 2, Partitions: 3}, true},
 		{"negative-partitions", Options{Partitions: -4}, false},
 		{"huge-partitions", Options{Partitions: 1 << 28}, false},
 		{"negative-workers", Options{Workers: -2}, false},
 	}
-	for engName, factory := range factories {
+	for _, engName := range []string{"lp", "lp-hj"} {
 		for _, tc := range cases {
 			t.Run(engName+"/"+tc.name, func(t *testing.T) {
-				res, err := factory(tc.opts).Run(c, stim)
+				e, err := NewEngine(engName, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := e.Run(c, stim)
 				if tc.wantOK {
 					if err != nil {
 						t.Fatalf("valid options rejected: %v", err)
@@ -54,8 +52,8 @@ func TestLPOptionValidation(t *testing.T) {
 				if ee.Reason != FailConfig {
 					t.Fatalf("Reason = %q, want %q (err: %v)", ee.Reason, FailConfig, err)
 				}
-				if ee.Engine != engName {
-					t.Fatalf("Engine = %q, want %q", ee.Engine, engName)
+				if ee.Engine != "lp-hj" {
+					t.Fatalf("Engine = %q, want %q", ee.Engine, "lp-hj")
 				}
 				if Retryable(err) {
 					t.Fatalf("config errors must not be retryable: %v", err)

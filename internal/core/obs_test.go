@@ -22,7 +22,7 @@ func TestTracedLPKoggestone(t *testing.T) {
 	c := circuit.KoggeStone(64)
 	stim := circuit.RandomStimulus(c, 4, c.SettleTime()+10, 1)
 	rec := obs.NewRecorder(0)
-	eng := core.NewLP(core.Options{Partitions: 4, Paranoid: true, Trace: rec})
+	eng := core.NewLPHJ(core.Options{Workers: 2, Partitions: 4, Paranoid: true, Trace: rec})
 	res, err := eng.Run(c, stim)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestMetricsAllEngines(t *testing.T) {
 	}{
 		{"seq", core.NewSequential, []string{"events"}},
 		{"hj", core.NewHJ, []string{"events", "hj.spawns", "hj.steals", "hj.parks"}},
-		{"lp", core.NewLP, []string{"events", "lp.partitions", "lp.event_msgs", "lp.null_msgs", "lp.batches"}},
+		{"lp", core.NewLPHJ, []string{"events", "lp.partitions", "lp.event_msgs", "lp.null_msgs", "lp.batches"}},
 		{"galois", core.NewGalois, []string{"events", "galois.committed"}},
 		{"timewarp", core.NewTimeWarp, []string{"events", "tw.rounds", "hj.spawns"}},
 	}
@@ -124,17 +124,17 @@ func TestMetricsAllEngines(t *testing.T) {
 }
 
 // TestWatchdogDiagIncludesTraceTail induces the drop-nulls deadlock with
-// tracing enabled and requires the stall watchdog's diagnostic dump to
-// carry the flight-recorder tail — the last events each LP recorded
-// before wedging.
+// tracing enabled and requires the stall's diagnostic dump to carry the
+// flight-recorder tail — the last events each LP recorded before the
+// runtime quiesced.
 func TestWatchdogDiagIncludesTraceTail(t *testing.T) {
 	c := circuit.KoggeStone(16)
 	stim := circuit.RandomStimulus(c, 4, c.SettleTime()+10, 9)
 	rec := obs.NewRecorder(0)
 
 	inj := chaos.New(chaos.Config{Seed: 9, DropNulls: true})
-	eng := core.NewLPIntercepted(core.Options{
-		Partitions: 4, Paranoid: true, Trace: rec,
+	eng := core.NewLPHJIntercepted(core.Options{
+		Workers: 2, Partitions: 4, Paranoid: true, Trace: rec,
 	}, inj.Factory())
 
 	_, err := core.Supervise(context.Background(), eng, c, stim,
@@ -154,7 +154,7 @@ func TestWatchdogDiagIncludesTraceTail(t *testing.T) {
 	if !strings.Contains(ee.Diag, "[shard ") {
 		t.Fatalf("flight-recorder tail has no shard-attributed events:\n%s", ee.Diag)
 	}
-	for _, want := range []string{"lp-send", "lp-block"} {
+	for _, want := range []string{"lp-send", "lp-slice"} {
 		if !strings.Contains(ee.Diag, want) {
 			t.Fatalf("flight-recorder tail missing %q events:\n%s", want, ee.Diag)
 		}
@@ -166,7 +166,7 @@ func TestWatchdogDiagIncludesTraceTail(t *testing.T) {
 func TestUntracedRunHasNoRecorder(t *testing.T) {
 	c := circuit.KoggeStone(16)
 	stim := circuit.RandomStimulus(c, 2, c.SettleTime()+10, 3)
-	res, err := core.NewLP(core.Options{Partitions: 2, Paranoid: true}).Run(c, stim)
+	res, err := core.NewLPHJ(core.Options{Partitions: 2, Paranoid: true}).Run(c, stim)
 	if err != nil {
 		t.Fatal(err)
 	}

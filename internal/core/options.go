@@ -45,16 +45,11 @@ type Options struct {
 	MutexLocks bool
 
 	// Partitions is the LP engine's logical-process count: the circuit
-	// is split into this many partitions, each simulated by one
-	// goroutine exchanging Chandy–Misra–Bryant messages. Zero means
+	// is split into this many partitions, each simulated by one logical
+	// process exchanging Chandy–Misra–Bryant messages. Zero means
 	// Workers (and GOMAXPROCS when that is also zero). Ignored by the
 	// other engines.
 	Partitions int
-
-	// LPInboxCap bounds each logical process's inbox channel (LP engine
-	// only). Zero means lp.DefaultInboxCap. Small values exercise the
-	// protocol's backpressure path; the chaos tests run with capacity 1.
-	LPInboxCap int
 
 	// TimeWarpWindow bounds the optimistic engine's speculation: a node
 	// never runs more than this far ahead of its earliest pending event.

@@ -28,7 +28,8 @@ var (
 		"galois-ordered": NewOrdered,
 		"actor":          NewActor,
 		"timewarp":       NewTimeWarp,
-		"lp":             NewLP,
+		// "lp" is a name for the lp-hj engine, which reports Name() == "lp-hj".
+		"lp": NewLPHJ,
 	}
 )
 

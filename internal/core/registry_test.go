@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"hjdes/internal/circuit"
 )
 
 // TestRegistryConcurrentAccess hammers the engine registry from many
@@ -121,5 +123,34 @@ func TestEngineNamesSorted(t *testing.T) {
 		if n == "zzz-mutated" {
 			t.Fatalf("EngineNames returned a shared slice: %v", again)
 		}
+	}
+}
+
+// TestLPAliasRunsLPHJ: the registry name "lp" builds the lp-hj engine,
+// which names itself "lp-hj" (so VCD headers, Result.Engine and metrics
+// name the code that ran) and matches the sequential oracle.
+func TestLPAliasRunsLPHJ(t *testing.T) {
+	c := circuit.KoggeStone(16)
+	stim := circuit.RandomStimulus(c, 4, c.SettleTime()+10, 5)
+	ref, err := NewSequential(Options{}).Run(c, stim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine("lp", Options{Workers: 2, Partitions: 4, Paranoid: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Name() != "lp-hj" {
+		t.Fatalf(`NewEngine("lp").Name() = %q, want "lp-hj"`, e.Name())
+	}
+	res, err := e.Run(c, stim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Engine != "lp-hj" || res.LP.Partitions != 4 {
+		t.Fatalf("Result.Engine = %q, partitions = %d; want lp-hj with 4", res.Engine, res.LP.Partitions)
+	}
+	if ok, diff := SameOutputs(ref, res); !ok {
+		t.Fatalf("lp alias disagrees with seq: %s", diff)
 	}
 }

@@ -23,7 +23,7 @@ const (
 // EngineError is the structured failure of a supervised engine run: which
 // engine failed, where (worker/LP/node, when known), why, and — for panics
 // — the recovered value and stack. Diag carries a diagnostic snapshot
-// (per-LP clocks, inbox depths, blocked-on info) when the engine can
+// (per-LP clocks, mailbox depths, states) when the engine can
 // produce one.
 type EngineError struct {
 	Engine string // engine name
@@ -101,7 +101,7 @@ type ProgressReporter interface {
 }
 
 // Diagnoser is implemented by engines that can describe the current run's
-// internal state (per-LP clocks, inbox depths, blocked-on info) for
+// internal state (per-LP clocks, mailbox depths, states) for
 // failure reports.
 type Diagnoser interface {
 	Diagnose() string

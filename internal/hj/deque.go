@@ -122,25 +122,21 @@ func (d *wsDeque) steal() (tk *task, retry bool) {
 // become stealable in turn. With max == 1 it degenerates to the classic
 // single steal (kept separately as steal for the ablation).
 //
-// Each task is still claimed by its own top-CAS. A single CAS of top from
-// t to t+k would race with the owner: popBottom takes interior elements
-// (index > top) without touching top, so a concurrent pop-then-push could
-// recycle a slot inside [t, t+k) invisibly — the reason schedulers with
-// one-shot batch stealing (Go, Tokio) make the owner side FIFO with its
-// own head-CAS. Per-element claiming keeps the Chase–Lev invariant that a
-// slot read is validated by the CAS on exactly its index: any overwrite
-// of slot i requires top to have advanced past i first, which makes the
-// claim CAS fail and the stale read harmless. The batch still amortizes
-// victim selection, the top/bottom size probe, and the array load across
-// up to max tasks, and returns bursty wake-lists to one thief in a single
-// round.
+// Each task is claimed by its own classic Chase–Lev steal, which
+// re-reads top, bottom and the array before its top-CAS. Claiming slots
+// t+1.. against the bottom read once at the start is not enough:
+// popBottom takes interior elements (index > top) without touching top,
+// so a slot below that stale bottom may already belong to the owner, and
+// a top-CAS alone would run the task twice (and a pop-then-push could
+// even hand the thief a recycled slot). The fresh bottom read per claim
+// restores the single-steal argument for every element. The batch still
+// amortizes victim selection and returns bursty wake-lists to one thief
+// in a single round.
 //
 // taken counts the transferred tasks; retry is true only when nothing was
 // taken because the first claim lost a race (the victim still has work).
 func (d *wsDeque) stealHalf(dst *wsDeque, max int) (first *task, taken int, retry bool) {
-	t := d.top.Load()
-	b := d.bottom.Load()
-	n := b - t
+	n := d.bottom.Load() - d.top.Load()
 	if n <= 0 {
 		return nil, 0, false
 	}
@@ -148,11 +144,10 @@ func (d *wsDeque) stealHalf(dst *wsDeque, max int) (first *task, taken int, retr
 	if k > int64(max) {
 		k = int64(max)
 	}
-	a := d.array.Load()
 	for i := int64(0); i < k; i++ {
-		tk := a.get(t + i)
-		if !d.top.CompareAndSwap(t+i, t+i+1) {
-			return first, int(i), first == nil
+		tk, lost := d.steal()
+		if tk == nil {
+			return first, int(i), first == nil && lost
 		}
 		if first == nil {
 			first = tk

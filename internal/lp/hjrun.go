@@ -11,13 +11,12 @@ import (
 	"hjdes/internal/partition"
 )
 
-// Fused hj-scheduled LP mode.
+// LP scheduling on the hj runtime.
 //
-// RunHJ runs the same Chandy–Misra–Bryant protocol as Run, but each LP
-// is an hj IndexedTask on a caller-owned work-stealing runtime instead
-// of a goroutine: K logical processes multiplex onto W workers, so high
-// partition counts stop oversubscribing the OS scheduler. Three pieces
-// replace the goroutine transport:
+// Each LP is an hj IndexedTask on a caller-owned work-stealing runtime:
+// K logical processes multiplex onto W workers, so high partition
+// counts never oversubscribe the OS scheduler. Three pieces make up the
+// transport:
 //
 //   - Lock-free MPSC mailboxes (mailbox.go): a sender pushes its batch
 //     and returns; nobody ever blocks on a peer.
@@ -39,29 +38,26 @@ import (
 //     max(clock, lbOut(feeder)) — a valid lower bound on everything the
 //     feeder can still emit — repeating until no event is below the
 //     widened horizon. Only then are output batches flushed and null
-//     promises sent, so one slice does the work that costs the
-//     goroutine engine several blocking round trips.
+//     promises sent, so one slice does as much work as it safely can
+//     per scheduling quantum.
 //
-// Every contract of the goroutine engine is preserved: the Interceptor
-// boundary (slices are exclusive, so interceptor state stays
-// single-threaded; OnBlock runs at the end of every slice), loop-top
-// kill-and-restart checkpoints (every path to a slice-loop top has
-// flushed, so outBuf is empty exactly as restart requires), Probe
-// diagnostics (mailbox depth replaces inbox depth), NMR stats, and
-// cancellation via Config.Ctx. A panic inside a slice is re-thrown as a
-// *PanicError so the runtime's containment (hj.TaskPanic) carries the
-// failing LP to the engine layer.
+// Slices are exclusive, so interceptor state stays single-threaded
+// (OnBlock runs at the end of every slice), and every path to a
+// slice-loop top has flushed, so outBuf is empty exactly as loop-top
+// kill-and-restart checkpoints require. A panic inside a slice is
+// re-thrown as a *PanicError so the runtime's containment
+// (hj.TaskPanic) carries the failing LP to the engine layer.
 
-// RunHJ simulates the circuit with one hj-scheduled logical process per
+// Run simulates the circuit with one hj-scheduled logical process per
 // partition of the plan, multiplexed onto rt's workers. The runtime is
-// caller-owned: RunHJ never shuts it down, and a clean run leaves it
-// quiescent (pool-reusable). Config.InboxCap is ignored — mailboxes are
-// unbounded; the protocol's own null-message pacing bounds them.
-func RunHJ(c *circuit.Circuit, stim *circuit.Stimulus, plan *partition.Plan, rt *hj.Runtime, cfg Config) (*Result, error) {
+// caller-owned: Run never shuts it down, and a clean run leaves it
+// quiescent (pool-reusable). Mailboxes are unbounded; the protocol's
+// own null-message pacing bounds them.
+func Run(c *circuit.Circuit, stim *circuit.Stimulus, plan *partition.Plan, rt *hj.Runtime, cfg Config) (*Result, error) {
 	if rt == nil {
-		return nil, errors.New("lp: RunHJ requires a runtime")
+		return nil, errors.New("lp: Run requires a runtime")
 	}
-	r, err := build(c, stim, plan, cfg, true)
+	r, err := build(c, stim, plan, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -76,11 +72,15 @@ func RunHJ(c *circuit.Circuit, stim *circuit.Stimulus, plan *partition.Plan, rt 
 		}
 	}
 
+	// Claim every LP's flag before spawning any slice: an early slice
+	// mailing an LP whose flag is still clear would win the CAS and
+	// spawn a second slice next to that LP's initial one. With all flags
+	// held, every LP gets exactly one first slice.
+	for _, p := range r.procs {
+		p.sched.Store(true)
+	}
 	rt.Finish(func(hctx *hj.Ctx) {
 		for _, p := range r.procs {
-			// Initial spawns claim the flag up front: no dedup races at
-			// the start, and every LP gets exactly one first slice.
-			p.sched.Store(true)
 			r.enqueue(hctx, p.id)
 		}
 	})
@@ -152,9 +152,8 @@ func (p *proc) slice(ctx *hj.Ctx) {
 	for {
 		p.checkCanceled()
 		if p.ic != nil && p.ic.CrashPoint(p.id) {
-			// Crash-consistent by the same invariant as the goroutine
-			// loop: every path to this point has passed a flushAll, so
-			// nothing counted is still buffered.
+			// Crash-consistent: every path to this point has passed a
+			// flushAll, so nothing counted is still buffered.
 			p.restart()
 		}
 		ev0 := p.procEvents
@@ -279,7 +278,6 @@ func (p *proc) yieldNote(ev0 int64) {
 	}
 	p.trace.Record(obs.EvSlice, events, horizon)
 	p.minClock.Store(clock)
-	p.blockedOn.Store(-1)
 	p.remainingA.Store(int32(p.remaining))
 	if p.remaining == 0 {
 		p.state.Store(stateDone)

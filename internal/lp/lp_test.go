@@ -5,8 +5,19 @@ import (
 	"testing"
 
 	"hjdes/internal/circuit"
+	"hjdes/internal/hj"
 	"hjdes/internal/partition"
 )
+
+// newRuntime starts a 2-worker hj runtime for one test and shuts it
+// down when the test ends. A clean Run leaves it quiescent, so one
+// runtime serves every run of a test.
+func newRuntime(t *testing.T) *hj.Runtime {
+	t.Helper()
+	rt := hj.NewRuntime(hj.Config{Workers: 2})
+	t.Cleanup(rt.Shutdown)
+	return rt
+}
 
 func randomWaves(c *circuit.Circuit, n int, seed int64) []map[string]circuit.Value {
 	rng := rand.New(rand.NewSource(seed))
@@ -21,16 +32,16 @@ func randomWaves(c *circuit.Circuit, n int, seed int64) []map[string]circuit.Val
 	return waves
 }
 
-// runLP partitions c into k LPs and simulates the waves with the
+// runLP partitions c into k LPs and simulates the waves on rt with the
 // causality assertion armed.
-func runLP(t *testing.T, c *circuit.Circuit, k int, waves []map[string]circuit.Value) *Result {
+func runLP(t *testing.T, rt *hj.Runtime, c *circuit.Circuit, k int, waves []map[string]circuit.Value) *Result {
 	t.Helper()
 	plan, err := partition.Partition(c, k)
 	if err != nil {
 		t.Fatalf("%s k=%d: %v", c.Name, k, err)
 	}
 	stim := circuit.VectorWaves(c, waves, c.SettleTime()+10)
-	res, err := Run(c, stim, plan, Config{Record: true, Paranoid: true})
+	res, err := Run(c, stim, plan, rt, Config{Record: true, Paranoid: true})
 	if err != nil {
 		t.Fatalf("%s k=%d: %v", c.Name, k, err)
 	}
@@ -40,6 +51,7 @@ func runLP(t *testing.T, c *circuit.Circuit, k int, waves []map[string]circuit.V
 // TestAgainstOracle drives several circuit families at several partition
 // counts and checks every settled output against the levelized oracle.
 func TestAgainstOracle(t *testing.T) {
+	rt := newRuntime(t)
 	for _, c := range []*circuit.Circuit{
 		circuit.C17(),
 		circuit.FullAdder(),
@@ -51,7 +63,7 @@ func TestAgainstOracle(t *testing.T) {
 		waves := randomWaves(c, 6, 11)
 		period := c.SettleTime() + 10
 		for _, k := range []int{1, 2, 3, 8} {
-			res := runLP(t, c, k, waves)
+			res := runLP(t, rt, c, k, waves)
 			for w, assign := range waves {
 				want := circuit.Evaluate(c, assign)
 				deadline := int64(w+1) * period
@@ -100,12 +112,13 @@ func settled(h []TimedValue) []TimedValue {
 func TestPartitionCountInvariance(t *testing.T) {
 	c := circuit.KoggeStone(32)
 	waves := randomWaves(c, 5, 21)
-	ref := runLP(t, c, 1, waves)
+	rt := newRuntime(t)
+	ref := runLP(t, rt, c, 1, waves)
 	if ref.TotalEvents == 0 {
 		t.Fatal("reference processed no events")
 	}
 	for _, k := range []int{2, 3, 5, 8, 16} {
-		res := runLP(t, c, k, waves)
+		res := runLP(t, rt, c, k, waves)
 		if res.TotalEvents != ref.TotalEvents {
 			t.Fatalf("k=%d: %d events, k=1: %d", k, res.TotalEvents, ref.TotalEvents)
 		}
@@ -128,8 +141,9 @@ func TestPartitionCountInvariance(t *testing.T) {
 func TestStats(t *testing.T) {
 	c := circuit.KoggeStone(32)
 	waves := randomWaves(c, 4, 31)
+	rt := newRuntime(t)
 
-	solo := runLP(t, c, 1, waves)
+	solo := runLP(t, rt, c, 1, waves)
 	if solo.Stats.EventMsgs != 0 || solo.Stats.NullMsgs != 0 || solo.Stats.CutEdges != 0 {
 		t.Fatalf("k=1 reported cross traffic: %+v", solo.Stats)
 	}
@@ -137,7 +151,7 @@ func TestStats(t *testing.T) {
 		t.Fatalf("k=1 null ratio %f", solo.Stats.NullRatio())
 	}
 
-	res := runLP(t, c, 4, waves)
+	res := runLP(t, rt, c, 4, waves)
 	s := res.Stats
 	if s.Partitions != 4 || s.CutEdges == 0 || s.EventMsgs == 0 {
 		t.Fatalf("k=4 stats %+v", s)
@@ -162,38 +176,19 @@ func TestStats(t *testing.T) {
 // partition count.
 func TestEmptyStimulus(t *testing.T) {
 	c := circuit.TreeMultiplier(4)
+	rt := newRuntime(t)
 	for _, k := range []int{1, 3, 8} {
 		plan, err := partition.Partition(c, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(c, circuit.NewStimulus(c), plan, Config{Record: true, Paranoid: true})
+		res, err := Run(c, circuit.NewStimulus(c), plan, rt, Config{Record: true, Paranoid: true})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		if res.TotalEvents != 0 {
 			t.Fatalf("k=%d: %d events from empty stimulus", k, res.TotalEvents)
 		}
-	}
-}
-
-// TestTinyInbox forces constant backpressure: the run must still
-// complete and agree with an unconstrained run.
-func TestTinyInbox(t *testing.T) {
-	c := circuit.KoggeStone(16)
-	waves := randomWaves(c, 6, 41)
-	stim := circuit.VectorWaves(c, waves, c.SettleTime()+10)
-	plan, err := partition.Partition(c, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiny, err := Run(c, stim, plan, Config{Record: true, Paranoid: true, InboxCap: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := runLP(t, c, 6, waves)
-	if tiny.TotalEvents != ref.TotalEvents {
-		t.Fatalf("inbox=1 processed %d events, reference %d", tiny.TotalEvents, ref.TotalEvents)
 	}
 }
 
@@ -205,7 +200,7 @@ func TestMismatchedStimulusRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &circuit.Stimulus{ByInput: make([][]circuit.Transition, 1)}
-	if _, err := Run(c, bad, plan, Config{}); err == nil {
+	if _, err := Run(c, bad, plan, newRuntime(t), Config{}); err == nil {
 		t.Fatal("mismatched stimulus accepted")
 	}
 }
@@ -219,7 +214,7 @@ func TestMismatchedPlanRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := circuit.KoggeStone(16)
-	if _, err := Run(big, circuit.NewStimulus(big), plan, Config{}); err == nil {
+	if _, err := Run(big, circuit.NewStimulus(big), plan, newRuntime(t), Config{}); err == nil {
 		t.Fatal("mismatched plan accepted")
 	}
 }
@@ -231,13 +226,13 @@ func TestMismatchedPlanRejected(t *testing.T) {
 func TestDeepChainManyPartitions(t *testing.T) {
 	c := circuit.ParityChain(48)
 	waves := randomWaves(c, 3, 51)
-	res := runLP(t, c, 12, waves)
+	res := runLP(t, newRuntime(t), c, 12, waves)
 	if res.TotalEvents == 0 {
 		t.Fatal("no events processed")
 	}
 	if res.Stats.NullMsgs == 0 && res.Stats.CutEdges > 0 && res.Stats.EventMsgs > 0 {
-		// Nulls are only needed when an LP blocks with open inbound
-		// channels; a pipeline this deep should block at least once.
+		// Nulls are only needed when an LP yields with open inbound
+		// channels; a pipeline this deep should yield at least once.
 		t.Log("note: no null messages were needed")
 	}
 }

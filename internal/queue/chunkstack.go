@@ -11,9 +11,12 @@ import (
 const chunkSize = 64
 
 type chunk[T any] struct {
-	next  *chunk[T]
-	n     int
-	items [chunkSize]T
+	// next is atomic because a popper that lost its CAS may still be
+	// reading it while the winner reuses the chunk.
+	next   atomic.Pointer[chunk[T]]
+	n      int
+	popped bool // taken off the shared stack at least once (owner-only)
+	items  [chunkSize]T
 }
 
 // ChunkStack is a concurrent bag of items organized as a Treiber stack of
@@ -23,11 +26,12 @@ type chunk[T any] struct {
 // runtime needs.
 //
 // Chunks are never recycled across the shared stack: a popped chunk becomes
-// private to the popping worker and is dropped for the GC when drained.
-// Relying on the garbage collector this way is what makes the plain
-// compare-and-swap loop safe — the same chunk address cannot reappear at
-// the head while another thread still holds it, so the classic ABA failure
-// of Treiber stacks cannot occur.
+// private to the popping worker and is dropped for the GC when drained, and
+// a Local that must publish a popped chunk's items again copies them into
+// a fresh chunk first. Relying on the garbage collector this way is what
+// makes the plain compare-and-swap loop safe — the same chunk address
+// cannot reappear at the head while another thread still holds it, so the
+// classic ABA failure of Treiber stacks cannot occur.
 type ChunkStack[T any] struct {
 	head atomic.Pointer[chunk[T]]
 	size atomic.Int64
@@ -42,10 +46,13 @@ func NewChunkStack[T any]() *ChunkStack[T] {
 // read before publication: the instant the CAS succeeds, another worker
 // may pop the chunk and start mutating it.
 func (cs *ChunkStack[T]) pushChunk(c *chunk[T]) {
+	if c.popped {
+		c = &chunk[T]{n: c.n, items: c.items}
+	}
 	n := int64(c.n)
 	for {
 		old := cs.head.Load()
-		c.next = old
+		c.next.Store(old)
 		if cs.head.CompareAndSwap(old, c) {
 			cs.size.Add(n)
 			return
@@ -60,9 +67,9 @@ func (cs *ChunkStack[T]) popChunk() *chunk[T] {
 		if old == nil {
 			return nil
 		}
-		if cs.head.CompareAndSwap(old, old.next) {
+		if cs.head.CompareAndSwap(old, old.next.Load()) {
 			cs.size.Add(int64(-old.n))
-			old.next = nil
+			old.popped = true
 			return old
 		}
 	}

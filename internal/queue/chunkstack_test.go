@@ -1,7 +1,9 @@
 package queue
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -145,6 +147,55 @@ func TestChunkStackConcurrent(t *testing.T) {
 	}
 	if count != total {
 		t.Fatalf("delivered %d items, want %d", count, total)
+	}
+}
+
+// TestChunkStackRepublishConcurrent: workers pop items and push them
+// back, flushing often so partially drained popped chunks are published
+// again, until every item has made its hops; each item must retire
+// exactly once.
+func TestChunkStackRepublishConcurrent(t *testing.T) {
+	const items, hops, workers = 2000, 8, 4
+	type item struct{ id, left int }
+	cs := NewChunkStack[item]()
+	seed := cs.NewLocal()
+	for i := 0; i < items; i++ {
+		seed.Push(item{i, hops})
+	}
+	seed.Flush()
+	var pending atomic.Int64
+	pending.Store(items)
+	retired := make([]atomic.Int32, items)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l := cs.NewLocal()
+			for n := 0; pending.Load() > 0; n++ {
+				it, ok := l.Pop()
+				if !ok {
+					runtime.Gosched()
+					continue
+				}
+				if it.left == 0 {
+					retired[it.id].Add(1)
+					pending.Add(-1)
+					continue
+				}
+				it.left--
+				l.Push(it)
+				if n%3 == 0 {
+					l.Flush()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range retired {
+		if n := retired[i].Load(); n != 1 {
+			t.Fatalf("item %d retired %d times", i, n)
+		}
 	}
 }
 

@@ -280,6 +280,38 @@ func TestServePoolReuse(t *testing.T) {
 	}
 }
 
+// TestServePoolReuseLPAlias: "lp" names the pooled lp-hj engine, so
+// repeated untraced lp jobs must reuse the pooled runtime instead of
+// building and shutting down a private one per job.
+func TestServePoolReuseLPAlias(t *testing.T) {
+	s := New(Config{QueueCap: 8, Concurrency: 1})
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := JobSpec{Circuit: "koggestone-16", Engine: "lp", Waves: 4, Seed: 5, Workers: 2, Partitions: 4}
+	warm := submitOK(t, ts, spec)
+	if v := waitJob(t, ts, warm, 30*time.Second); v.Status != StatusDone {
+		t.Fatalf("warmup: %q (%s)", v.Status, v.Error)
+	}
+	before := s.PoolStats()
+
+	const n = 4
+	for i := 0; i < n; i++ {
+		id := submitOK(t, ts, spec)
+		if v := waitJob(t, ts, id, 30*time.Second); v.Status != StatusDone {
+			t.Fatalf("job %d: %q (%s)", i, v.Status, v.Error)
+		}
+	}
+	after := s.PoolStats()
+	if after.Created != before.Created {
+		t.Fatalf("lp jobs created %d new runtimes, want 0", after.Created-before.Created)
+	}
+	if got := after.Reused - before.Reused; got != n {
+		t.Fatalf("lp jobs reused the pool %d times, want %d", got, n)
+	}
+}
+
 // TestServeDrainFinishesInFlight covers the happy drain: queued and
 // running jobs complete inside the grace, the server stops admitting
 // (503), and /healthz flips to draining.
