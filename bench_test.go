@@ -256,11 +256,3 @@ func BenchmarkLPEngine(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkActorEngine measures the future-work actor engine on the
-// multiplier for comparison with the HJ engine.
-func BenchmarkActorEngine(b *testing.B) {
-	c := circuit.TreeMultiplier(12)
-	stim := benchStim(c, 1)
-	runEngine(b, core.NewActor(core.Options{DiscardOutputs: true}), c, stim)
-}

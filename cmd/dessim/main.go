@@ -44,7 +44,7 @@ var (
 	hotFlag     = flag.Int("hotspots", 0, "print the N busiest nodes by processed events")
 	timeoutFlag = flag.Duration("timeout", 0, "fail the run after this long (0 = unbounded)")
 	stallFlag   = flag.Duration("stall", 0, "fail the run if the engine makes no progress for this long (0 = no watchdog)")
-	chaosFlag   = flag.String("chaos", "", "fault-injection spec; lp: seed=7,delay=0.3,dup=0.2,kill=0.1 (fields: seed delay dup kill maxkills maxheld dropnulls); other engines: seed=7,panic=0.01,wakedrop=0.1 (fields: seed panic maxpanics wakedrop maxwakedrops wakedelay rollback maxrollbacks)")
+	chaosFlag   = flag.String("chaos", "", "fault-injection spec, e.g. seed=7,delay=0.3,kill=0.1,panic=0.01 (fields: seed delay dup kill maxkills maxheld dropnulls panic maxpanics wakedrop maxwakedrops wakedelay rollback maxrollbacks); each engine takes the faults it has injection sites for")
 	retryFlag   = flag.Int("retries", 0, "resilient: extra attempts per engine on retryable failures before degrading (0 = fail fast)")
 	fbFlag      = flag.String("fallback", "", "resilient: comma-separated engine degradation chain tried after the retry budget, e.g. lp,seq")
 	ckptFlag    = flag.Int("checkpoint-every", 0, "resilient: snapshot crash-consistent state every N settle boundaries so retries resume instead of restarting (0 = off)")
@@ -69,9 +69,8 @@ func fatalf(format string, args ...any) {
 // Run-scoped instrumentation, package-level so the failure path
 // (dieSupervised) can report fault counts and dump the trace.
 var (
-	recorder      *obs.Recorder
-	injector      *chaos.Injector
-	schedInjector *chaos.SchedInjector
+	recorder *obs.Recorder
+	injector *chaos.Injector
 )
 
 func main() {
@@ -101,33 +100,17 @@ func main() {
 		recorder = obs.NewRecorder(0)
 		opts.Trace = recorder
 	}
-	var eng core.Engine
-	switch {
-	case *chaosFlag != "" && (*engineFlag == "lp" || *engineFlag == "lp-hj"):
-		// lp chaos lives on the message plane: the interceptor sits on
-		// the cross-partition delivery path.
+	if *chaosFlag != "" {
 		ccfg, err := chaos.ParseSpec(*chaosFlag)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		injector = chaos.New(ccfg)
-		eng = core.NewLPHJIntercepted(opts, injector.Factory())
-	case *chaosFlag != "":
-		// Every other engine takes scheduler-level faults (task panics,
-		// lost/delayed wakeups, rollback storms) through core.ChaosHooks.
-		ccfg, err := chaos.ParseSchedSpec(*chaosFlag)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		schedInjector = chaos.NewSched(ccfg)
-		opts.Chaos = schedInjector.Hooks()
-		fallthrough
-	default:
-		var err error
-		eng, err = core.NewEngine(*engineFlag, opts)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		opts.Chaos = injector.Hooks()
+	}
+	eng, err := core.NewEngine(*engineFlag, opts)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	fmt.Printf("circuit: %v\n", c)
@@ -220,9 +203,6 @@ func dieSupervised(err error) {
 		if injector != nil {
 			fmt.Fprintf(os.Stderr, "--- injected faults ---\n%v\n", &injector.Stats)
 		}
-		if schedInjector != nil {
-			fmt.Fprintf(os.Stderr, "--- injected faults ---\n%v\n", &schedInjector.Stats)
-		}
 		if ee.Reason == core.FailPanic && len(ee.Stack) > 0 {
 			fmt.Fprintf(os.Stderr, "--- panic stack ---\n%s", ee.Stack)
 		}
@@ -291,9 +271,6 @@ func writeTrace() {
 func printMetrics(res *core.Result) {
 	if injector != nil && res.Metrics != nil {
 		res.Metrics.Merge(injector.Stats.Metrics())
-	}
-	if schedInjector != nil && res.Metrics != nil {
-		res.Metrics.Merge(schedInjector.Stats.Metrics())
 	}
 	if !*metricsFlag {
 		return

@@ -1,6 +1,6 @@
 // Custom circuit example: assemble a circuit with the Builder API, save
 // and reload it through the netlist text format, and simulate it with
-// the actor engine (the paper's future-work direction).
+// the message-passing lp-hj engine (logical processes as HJ tasks).
 package main
 
 import (
@@ -40,8 +40,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Simulate a few comparisons on the reloaded circuit with the actor
-	// engine.
+	// Simulate a few comparisons on the reloaded circuit with the lp-hj
+	// engine, split into two logical processes.
 	cases := [][2]uint64{{5, 5}, {5, 6}, {15, 15}, {0, 8}}
 	period := c2.SettleTime() + 10
 	var waves []map[string]circuit.Value
@@ -53,7 +53,7 @@ func main() {
 		}
 		waves = append(waves, m)
 	}
-	res, err := core.RunAndVerify(core.NewActor(core.Options{}), c2, waves, period)
+	res, err := core.RunAndVerify(core.NewLPHJ(core.Options{Partitions: 2}), c2, waves, period)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func main() {
 		core.NewGalois(core.Options{Workers: 4, DiscardOutputs: true}),
 		core.NewGaloisFine(core.Options{Workers: 4, DiscardOutputs: true}),
 		core.NewOrdered(core.Options{Workers: 4, DiscardOutputs: true}),
-		core.NewActor(core.Options{DiscardOutputs: true}),
+		core.NewLPHJ(core.Options{Workers: 4, Partitions: 16, DiscardOutputs: true}),
 	}
 	for _, e := range engines {
 		res, err := e.Run(c, stim)

@@ -73,10 +73,11 @@ func TestChaosNeverSilentlyWrong(t *testing.T) {
 			KillProb:    0.05,
 			MaxKills:    2,
 		})
-		eng := core.NewLPHJIntercepted(core.Options{
+		eng := core.NewLPHJ(core.Options{
 			Partitions: k,
 			Paranoid:   true,
-		}, inj.Factory())
+			Chaos:      inj.Hooks(),
+		})
 
 		got, err := core.Supervise(context.Background(), eng, c, stim,
 			core.SuperviseConfig{Timeout: 30 * time.Second, StallTimeout: 10 * time.Second})
@@ -117,9 +118,9 @@ func TestChaosDeadlockQuiesceLPHJ(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	inj := chaos.New(chaos.Config{Seed: 9, DropNulls: true})
-	eng := core.NewLPHJIntercepted(core.Options{
-		Partitions: 4, Paranoid: true,
-	}, inj.Factory())
+	eng := core.NewLPHJ(core.Options{
+		Partitions: 4, Paranoid: true, Chaos: inj.Hooks(),
+	})
 
 	start := time.Now()
 	_, err := eng.Run(c, stim)
@@ -152,21 +153,33 @@ func TestChaosDeadlockQuiesceLPHJ(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
-// TestChaosSpecRoundTrip keeps the -chaos flag grammar honest.
+// TestChaosSpecRoundTrip keeps the -chaos flag grammar honest: every
+// message-plane key parses, a spec may mix the planes, and bad values
+// and unknown keys are rejected. TestParseSchedSpecRoundTrip covers the
+// scheduler-plane keys.
 func TestChaosSpecRoundTrip(t *testing.T) {
 	cfg, err := chaos.ParseSpec("seed=42,delay=0.25,dup=0.1,kill=0.05,maxkills=3,maxheld=8,dropnulls")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Seed != 42 || cfg.DelayProb != 0.25 || cfg.DupNullProb != 0.1 ||
-		cfg.KillProb != 0.05 || cfg.MaxKills != 3 || cfg.MaxHeld != 8 || !cfg.DropNulls {
-		t.Fatalf("ParseSpec = %+v", cfg)
+	if cfg != (chaos.Config{Seed: 42, DelayProb: 0.25, DupNullProb: 0.1, KillProb: 0.05,
+		MaxKills: 3, MaxHeld: 8, DropNulls: true}) {
+		t.Fatalf("message-plane spec parsed as %+v", cfg)
 	}
-	if _, err := chaos.ParseSpec("delay=nope"); err == nil {
-		t.Fatal("bad probability parsed")
+	cfg, err = chaos.ParseSpec("seed=3,kill=1,maxkills=2,delay=0.2,panic=1,maxpanics=1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := chaos.ParseSpec("unknown=1"); err == nil {
-		t.Fatal("unknown key parsed")
+	if cfg != (chaos.Config{Seed: 3, KillProb: 1, MaxKills: 2, DelayProb: 0.2, PanicProb: 1, MaxPanics: 1}) {
+		t.Fatalf("mixed-plane spec parsed as %+v", cfg)
+	}
+	if cfg, err := chaos.ParseSpec(""); err != nil || cfg != (chaos.Config{}) {
+		t.Fatalf("empty spec: cfg=%+v err=%v", cfg, err)
+	}
+	for _, bad := range []string{"delay=nope", "panic=lots", "dropnulls=maybe", "unknown=1", "frobnicate=1"} {
+		if _, err := chaos.ParseSpec(bad); err == nil {
+			t.Errorf("ParseSpec(%q) accepted", bad)
+		}
 	}
 }
 
@@ -202,13 +215,13 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		return sb.String()
 	}
 	cfg := chaos.Config{Seed: 17, DelayProb: 0.5, DupNullProb: 0.4, KillProb: 0.1, MaxKills: 2}
-	t1 := script(chaos.New(cfg).Factory()(4))
-	t2 := script(chaos.New(cfg).Factory()(4))
+	t1 := script(chaos.New(cfg).Hooks().Intercept(4))
+	t2 := script(chaos.New(cfg).Hooks().Intercept(4))
 	if t1 != t2 {
 		t.Fatalf("same seed, same send sequence, different decisions:\n--- run 1 ---\n%s--- run 2 ---\n%s", t1, t2)
 	}
 	// A different LP id must draw from an independent stream.
-	if t3 := script(chaos.New(cfg).Factory()(5)); t3 == t1 {
+	if t3 := script(chaos.New(cfg).Hooks().Intercept(5)); t3 == t1 {
 		t.Fatal("different LP ids produced identical fault streams")
 	}
 }
@@ -243,11 +256,12 @@ func TestLPHJChaosSweepBitExact(t *testing.T) {
 			KillProb:    0.05,
 			MaxKills:    2,
 		})
-		eng := core.NewLPHJIntercepted(core.Options{
+		eng := core.NewLPHJ(core.Options{
 			Partitions: k,
 			Workers:    4,
 			Paranoid:   true,
-		}, inj.Factory())
+			Chaos:      inj.Hooks(),
+		})
 
 		got, err := core.Supervise(context.Background(), eng, c, stim,
 			core.SuperviseConfig{Timeout: 30 * time.Second, StallTimeout: 10 * time.Second})
@@ -274,5 +288,51 @@ func TestLPHJChaosSweepBitExact(t *testing.T) {
 	}
 	if restarts == 0 {
 		t.Fatal("kill chaos never exercised the checkpoint restart path")
+	}
+}
+
+// TestMixedPlaneChaosLPHJ drives both fault planes through one injector
+// on lp-hj: the first task body panics (scheduler plane), and LPs have
+// event messages delayed and are killed and restarted from in-run
+// checkpoints (message plane). The resilient retry must finish
+// bit-exact against the sequential oracle with both planes' faults
+// visible.
+func TestMixedPlaneChaosLPHJ(t *testing.T) {
+	c := circuit.KoggeStone(16)
+	stim := circuit.RandomStimulus(c, 6, c.SettleTime()+10, 61)
+	want := seqReference(t, c, stim)
+
+	cfg, err := chaos.ParseSpec("seed=7,kill=1,maxkills=2,delay=0.2,panic=1,maxpanics=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := chaos.New(cfg)
+	opts := core.Options{Workers: 2, Partitions: 4, Paranoid: true, CheckpointEvery: 1, Chaos: inj.Hooks()}
+	eng, err := core.NewEngine("lp-hj", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.Resilient(context.Background(), eng, c, stim, core.ResilientConfig{
+		Supervise: core.SuperviseConfig{Timeout: 30 * time.Second, StallTimeout: 10 * time.Second},
+		Retry:     core.RetryPolicy{Retries: 2, Backoff: time.Millisecond, Seed: 7},
+		Options:   opts,
+	})
+	if err != nil {
+		t.Fatalf("mixed-plane chaos run failed: %v (faults: %v)", err, &inj.Stats)
+	}
+	if got.Attempts != 2 || got.Degraded {
+		t.Fatalf("Attempts=%d Degraded=%v, want one retry on lp-hj", got.Attempts, got.Degraded)
+	}
+	if got.TotalEvents != want.TotalEvents {
+		t.Fatalf("chaotic run counted %d events, oracle %d", got.TotalEvents, want.TotalEvents)
+	}
+	if ok, diff := core.SameOutputs(want, got); !ok {
+		t.Fatalf("mixed-plane chaos run diverged from oracle: %s", diff)
+	}
+	if got.Metrics["lp.restarts"] < 1 {
+		t.Fatalf("lp.restarts = %d, want >= 1 (faults: %v)", got.Metrics["lp.restarts"], &inj.Stats)
+	}
+	if n := inj.Stats.Metrics()["chaos.task_panics"]; n != 1 {
+		t.Fatalf("chaos.task_panics = %d, want 1", n)
 	}
 }

@@ -12,31 +12,29 @@ import (
 	"hjdes/internal/core"
 )
 
+// TestParseSchedSpecRoundTrip checks that every scheduler-plane key of
+// the -chaos grammar parses into its Config field, and that a spec
+// naming only that plane leaves the message plane off.
 func TestParseSchedSpecRoundTrip(t *testing.T) {
-	cfg, err := chaos.ParseSchedSpec("seed=7, panic=0.25, maxpanics=3, wakedrop=0.5, maxwakedrops=4, wakedelay=0.1, rollback=0.75, maxrollbacks=16")
+	cfg, err := chaos.ParseSpec("seed=7, panic=0.25, maxpanics=3, wakedrop=0.5, maxwakedrops=4, wakedelay=0.1, rollback=0.75, maxrollbacks=16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Seed != 7 || cfg.PanicProb != 0.25 || cfg.MaxPanics != 3 ||
-		cfg.WakeDropProb != 0.5 || cfg.MaxWakeDrops != 4 || cfg.WakeDelayProb != 0.1 ||
-		cfg.RollbackProb != 0.75 || cfg.MaxRollbacks != 16 {
-		t.Fatalf("parsed config %+v does not match spec", cfg)
+	if cfg != (chaos.Config{Seed: 7, PanicProb: 0.25, MaxPanics: 3, WakeDropProb: 0.5,
+		MaxWakeDrops: 4, WakeDelayProb: 0.1, RollbackProb: 0.75, MaxRollbacks: 16}) {
+		t.Fatalf("scheduler-plane spec parsed as %+v", cfg)
 	}
-	if cfg, err := chaos.ParseSchedSpec(""); err != nil || cfg != (chaos.SchedConfig{}) {
-		t.Fatalf("empty spec: cfg=%+v err=%v", cfg, err)
-	}
-	if _, err := chaos.ParseSchedSpec("frobnicate=1"); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-	if _, err := chaos.ParseSchedSpec("panic=lots"); err == nil {
-		t.Fatal("malformed probability accepted")
+	for _, bad := range []string{"panic=lots", "maxpanics=-", "wakedrop=x", "rollback=", "maxrollbacks=1.5"} {
+		if _, err := chaos.ParseSpec(bad); err == nil {
+			t.Errorf("ParseSpec(%q) accepted", bad)
+		}
 	}
 }
 
 // TestSchedPanicCapExactUnderConcurrency hammers the task hook from many
 // goroutines and checks the injected-panic cap holds exactly.
 func TestSchedPanicCapExactUnderConcurrency(t *testing.T) {
-	inj := chaos.NewSched(chaos.SchedConfig{Seed: 3, PanicProb: 1, MaxPanics: 5})
+	inj := chaos.New(chaos.Config{Seed: 3, PanicProb: 1, MaxPanics: 5})
 	hooks := inj.Hooks()
 	if hooks.Task == nil {
 		t.Fatal("panic hook not armed")
@@ -72,14 +70,14 @@ func TestSchedPanicCapExactUnderConcurrency(t *testing.T) {
 }
 
 func TestSchedHooksNilWhenUnconfigured(t *testing.T) {
-	h := chaos.NewSched(chaos.SchedConfig{Seed: 1}).Hooks()
-	if h.Task != nil || h.Wake != nil || h.Rollback != nil {
+	h := chaos.New(chaos.Config{Seed: 1}).Hooks()
+	if h.Intercept != nil || h.Task != nil || h.Wake != nil || h.Rollback != nil {
 		t.Fatalf("zero-probability config armed hooks: %+v", h)
 	}
 }
 
 func TestSchedStatsMetrics(t *testing.T) {
-	inj := chaos.NewSched(chaos.SchedConfig{Seed: 2, WakeDropProb: 1, MaxWakeDrops: 2})
+	inj := chaos.New(chaos.Config{Seed: 2, WakeDropProb: 1, MaxWakeDrops: 2})
 	h := inj.Hooks()
 	for i := 0; i < 5; i++ {
 		h.Wake()
@@ -88,7 +86,8 @@ func TestSchedStatsMetrics(t *testing.T) {
 	if m["chaos.wake_drops"] != 2 {
 		t.Fatalf("chaos.wake_drops = %d, want 2 (capped)", m["chaos.wake_drops"])
 	}
-	for _, key := range []string{"chaos.task_panics", "chaos.wake_drops", "chaos.wake_delays", "chaos.rollback_storms"} {
+	for _, key := range []string{"chaos.held", "chaos.released", "chaos.duped_nulls", "chaos.dropped_nulls", "chaos.kills",
+		"chaos.task_panics", "chaos.wake_drops", "chaos.wake_delays", "chaos.rollback_storms"} {
 		if _, ok := m[key]; !ok {
 			t.Fatalf("metrics missing %s", key)
 		}
@@ -97,11 +96,11 @@ func TestSchedStatsMetrics(t *testing.T) {
 
 // schedFamilies maps each engine family that consumes core.ChaosHooks to
 // one representative registry name.
-var schedFamilies = []string{"seq", "hj", "galois", "galois-ordered", "actor", "timewarp", "tw-hj"}
+var schedFamilies = []string{"seq", "hj", "galois", "galois-ordered", "timewarp", "tw-hj"}
 
 // runResilientChaos runs the named engine under core.Resilient with the
 // given injector wired in, a seq fallback, and full checkpointing.
-func runResilientChaos(t *testing.T, name string, c *circuit.Circuit, stim *circuit.Stimulus, inj *chaos.SchedInjector) *core.Result {
+func runResilientChaos(t *testing.T, name string, c *circuit.Circuit, stim *circuit.Stimulus, inj *chaos.Injector) *core.Result {
 	t.Helper()
 	opts := core.Options{Workers: 4, CheckpointEvery: 1, Chaos: inj.Hooks()}
 	e, err := core.NewEngine(name, opts)
@@ -132,7 +131,7 @@ func TestInducedPanicRecoveryPerFamily(t *testing.T) {
 
 	for _, name := range schedFamilies {
 		t.Run(name, func(t *testing.T) {
-			inj := chaos.NewSched(chaos.SchedConfig{Seed: 11, PanicProb: 1, MaxPanics: 1})
+			inj := chaos.New(chaos.Config{Seed: 11, PanicProb: 1, MaxPanics: 1})
 			res := runResilientChaos(t, name, c, stim, inj)
 			if inj.Stats.TaskPanics.Load() != 1 {
 				t.Fatalf("injected %d panics, want 1", inj.Stats.TaskPanics.Load())
@@ -161,7 +160,7 @@ func TestWakeDropRecoveryHJ(t *testing.T) {
 	stim := circuit.RandomStimulus(c, 5, c.SettleTime()+10, 43)
 	ref := seqReference(t, c, stim)
 
-	inj := chaos.NewSched(chaos.SchedConfig{Seed: 13, WakeDropProb: 0.5, MaxWakeDrops: 4, WakeDelayProb: 0.25})
+	inj := chaos.New(chaos.Config{Seed: 13, WakeDropProb: 0.5, MaxWakeDrops: 4, WakeDelayProb: 0.25})
 	res := runResilientChaos(t, "hj", c, stim, inj)
 	if ok, diff := core.SameOutputs(ref, res); !ok {
 		t.Fatalf("wake-drop run diverged: %s", diff)
@@ -182,7 +181,7 @@ func TestRollbackStormTimewarp(t *testing.T) {
 	// No checkpoint segmentation here: a segment per wave would collapse
 	// the optimism window (all of a segment's stimulus is in flight at
 	// once), leaving processed logs too short to storm.
-	inj := chaos.NewSched(chaos.SchedConfig{Seed: 17, RollbackProb: 0.9, MaxRollbacks: 100})
+	inj := chaos.New(chaos.Config{Seed: 17, RollbackProb: 0.9, MaxRollbacks: 100})
 	opts := core.Options{Workers: 4, Chaos: inj.Hooks()}
 	e, err := core.NewEngine("timewarp", opts)
 	if err != nil {
@@ -217,7 +216,7 @@ func TestRollbackStormTWHJ(t *testing.T) {
 	stim := circuit.RandomStimulus(c, 6, c.SettleTime()+10, 47)
 	ref := seqReference(t, c, stim)
 
-	inj := chaos.NewSched(chaos.SchedConfig{Seed: 19, RollbackProb: 0.9, MaxRollbacks: 100})
+	inj := chaos.New(chaos.Config{Seed: 19, RollbackProb: 0.9, MaxRollbacks: 100})
 	opts := core.Options{Workers: 4, Chaos: inj.Hooks()}
 	e, err := core.NewEngine("tw-hj", opts)
 	if err != nil {
@@ -247,8 +246,8 @@ func TestRollbackStormTWHJ(t *testing.T) {
 // engine × every scheduler fault kind × several seeds, each run under
 // core.Resilient with checkpoint-resume and a seq fallback, each output
 // compared bit for bit against the sequential oracle. Under its "lp"
-// name the LP engine takes its faults through the message-plane injector
-// instead (delayed releases, duplicated nulls, kill-and-restart); under
+// name the LP engine takes message-plane faults instead (delayed
+// releases, duplicated nulls, kill-and-restart); under
 // "lp-hj" it takes the scheduler faults like the other hj engines. ~200
 // runs; -short trims the seed axis, CI's chaos-soak job runs the full
 // matrix under -race.
@@ -271,7 +270,7 @@ func TestChaosSoakAllEngines(t *testing.T) {
 					if name == "lp" {
 						res = runResilientLPChaos(t, kind, seed, c, stim)
 					} else {
-						inj := chaos.NewSched(schedConfigFor(kind, seed))
+						inj := chaos.New(schedConfigFor(kind, seed))
 						res = runResilientChaos(t, name, c, stim, inj)
 					}
 					if res.TotalEvents != ref.TotalEvents {
@@ -286,8 +285,8 @@ func TestChaosSoakAllEngines(t *testing.T) {
 	}
 }
 
-func schedConfigFor(kind string, seed int64) chaos.SchedConfig {
-	cfg := chaos.SchedConfig{Seed: seed}
+func schedConfigFor(kind string, seed int64) chaos.Config {
+	cfg := chaos.Config{Seed: seed}
 	switch kind {
 	case "panic":
 		cfg.PanicProb, cfg.MaxPanics = 0.001, 2
@@ -299,8 +298,8 @@ func schedConfigFor(kind string, seed int64) chaos.SchedConfig {
 	return cfg
 }
 
-// runResilientLPChaos drives the LP engine through the message-plane
-// injector under the same resilient envelope as the scheduler families.
+// runResilientLPChaos drives the LP engine with message-plane faults
+// under the same resilient envelope as the scheduler families.
 func runResilientLPChaos(t *testing.T, kind string, seed int64, c *circuit.Circuit, stim *circuit.Stimulus) *core.Result {
 	t.Helper()
 	cfg := chaos.Config{Seed: seed}
@@ -312,9 +311,8 @@ func runResilientLPChaos(t *testing.T, kind string, seed int64, c *circuit.Circu
 	case "rollback":
 		cfg.DupNullProb = 0.4
 	}
-	inj := chaos.New(cfg)
-	opts := core.Options{Partitions: 3, CheckpointEvery: 1}
-	e := core.NewLPHJIntercepted(opts, inj.Factory())
+	opts := core.Options{Partitions: 3, CheckpointEvery: 1, Chaos: chaos.New(cfg).Hooks()}
+	e := core.NewLPHJ(opts)
 	res, err := core.Resilient(nil, e, c, stim, core.ResilientConfig{
 		Supervise: core.SuperviseConfig{Timeout: 30 * time.Second, StallTimeout: 5 * time.Second},
 		Retry:     core.RetryPolicy{Retries: 2, Backoff: time.Millisecond, Seed: seed},

@@ -50,7 +50,7 @@ func TestTWResumeUnderRollbackStorm(t *testing.T) {
 			cleanVCD := vcdOf(t, cleanRes)
 
 			store := core.NewCheckpointStore()
-			inj := chaos.NewSched(chaos.SchedConfig{Seed: 23, RollbackProb: 0.9, MaxRollbacks: 200})
+			inj := chaos.New(chaos.Config{Seed: 23, RollbackProb: 0.9, MaxRollbacks: 200})
 			hooks := inj.Hooks()
 			var killed atomic.Bool
 			hooks.Task = func(worker int) {
@@ -111,7 +111,7 @@ func TestTWHJCrossEngineResumeIntoSeq(t *testing.T) {
 	refVCD := vcdOf(t, ref)
 
 	store := core.NewCheckpointStore()
-	inj := chaos.NewSched(chaos.SchedConfig{Seed: 29, RollbackProb: 0.8, MaxRollbacks: 100})
+	inj := chaos.New(chaos.Config{Seed: 29, RollbackProb: 0.8, MaxRollbacks: 100})
 	hooks := inj.Hooks()
 	var killed atomic.Bool
 	hooks.Task = func(worker int) {
@@ -178,14 +178,14 @@ func TestTWHJChaosSweepBitExact(t *testing.T) {
 		stim := circuit.RandomStimulus(c, 4, c.SettleTime()+10, seed)
 		want := seqReference(t, c, stim)
 
-		cfg := chaos.SchedConfig{Seed: seed, RollbackProb: 0.6, MaxRollbacks: 50}
+		cfg := chaos.Config{Seed: seed, RollbackProb: 0.6, MaxRollbacks: 50}
 		if seed%2 == 1 {
 			// Kill/restart arm: one induced task panic, recovered by the
 			// resilient retry resuming from the reached segment.
 			cfg.PanicProb = 0.002
 			cfg.MaxPanics = 1
 		}
-		inj := chaos.NewSched(cfg)
+		inj := chaos.New(cfg)
 		opts := core.Options{Workers: k, Paranoid: true, CheckpointEvery: 2, Chaos: inj.Hooks()}
 		eng, err := core.NewEngine("tw-hj", opts)
 		if err != nil {

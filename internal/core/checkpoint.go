@@ -29,7 +29,7 @@ type Checkpointer interface {
 // the settled value on every node's input ports. At a settle boundary no
 // events are queued or in flight anywhere, so this — plus the stimulus
 // still to come — is the complete simulation state. Every engine family
-// (workset, hj, galois, actor, timewarp, lp) can seed a fresh run from it
+// (workset, hj, galois, timewarp, lp) can seed a fresh run from it
 // and capture it at completion.
 type ResumeState struct {
 	InVal [][2]circuit.Value // per node, indexed by NodeID

@@ -25,7 +25,6 @@ func testEngines(workers int) []Engine {
 		NewGalois(Options{Workers: workers, Paranoid: true}),
 		NewGaloisFine(Options{Workers: workers, Paranoid: true}),
 		NewOrdered(Options{Workers: workers, Paranoid: true}),
-		NewActor(Options{Workers: workers, Paranoid: true}),
 		NewLPHJ(Options{Workers: workers, Paranoid: true}),
 		NewLPHJ(Options{Workers: workers, Partitions: 3, Paranoid: true}),
 		NewLPHJ(Options{Workers: 2, Partitions: 16, Paranoid: true}),
@@ -330,7 +329,6 @@ func TestEngineNames(t *testing.T) {
 		"galois":         NewGalois(Options{}),
 		"galois-fine":    NewGaloisFine(Options{}),
 		"galois-ordered": NewOrdered(Options{}),
-		"actor":          NewActor(Options{}),
 		"lp-hj":          NewLPHJ(Options{}),
 	}
 	for name, e := range want {

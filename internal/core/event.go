@@ -1,5 +1,5 @@
 // Package core implements the paper's discrete event simulation of logic
-// circuits under the Chandy–Misra conservative algorithm, in four
+// circuits under the Chandy–Misra conservative algorithm, in
 // interchangeable engines:
 //
 //   - Sequential (Algorithm 1): the workset-based reference, with the
@@ -12,8 +12,10 @@
 //     using async/finish plus TryLock/ReleaseAllLocks.
 //   - Galois (Algorithm 3): parallel simulation on the galois optimistic
 //     runtime, the paper's baseline system.
-//   - Actor: a message-passing engine (one goroutine per node), the
-//     paper's stated future-work direction, included as an extension.
+//   - LPHJ: a message-passing engine — partitioned logical processes
+//     exchanging null messages, each LP an hj task — the paper's stated
+//     future-work direction, included as an extension (the registry
+//     also holds the optimistic Time Warp engines).
 //
 // Every engine implements Engine and produces a Result whose settled
 // output values and total event count must agree with every other engine;

@@ -36,7 +36,6 @@ func init() { RegisterEngine("lp-hj", NewLPHJ) }
 // full Supervise/Resilient stack applies.
 type lpHJEngine struct {
 	opts  Options
-	newIC func(lp int) lp.Interceptor
 	probe lp.Probe
 	rt    atomic.Pointer[hj.Runtime]
 	plan  atomic.Pointer[cachedPlan]
@@ -56,16 +55,6 @@ type cachedPlan struct {
 
 // NewLPHJ returns the hj-scheduled logical-process engine.
 func NewLPHJ(opts Options) Engine { return &lpHJEngine{opts: opts} }
-
-// NewLPHJIntercepted returns an lp-hj engine whose LPs send every
-// cross-partition message through an interceptor built by newIC (one
-// per LP). This is the hook the deterministic fault injector in
-// internal/chaos plugs into; newIC may return nil for LPs to leave
-// untouched. Slices are mutually exclusive per LP, so interceptor state
-// needs no locking.
-func NewLPHJIntercepted(opts Options, newIC func(lp int) lp.Interceptor) Engine {
-	return &lpHJEngine{opts: opts, newIC: newIC}
-}
 
 func (e *lpHJEngine) Name() string { return "lp-hj" }
 
@@ -137,15 +126,14 @@ func (e *lpHJEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.
 		e.plan.Store(&cachedPlan{c: c, k: k, plan: plan})
 	}
 	cfg := lp.Config{
-		Record:         !e.opts.DiscardOutputs,
-		Paranoid:       e.opts.Paranoid,
-		Ctx:            ctx,
-		NewInterceptor: e.newIC,
-		Probe:          &e.probe,
-		Trace:          e.opts.Trace,
-		Metrics:        e.opts.Metrics,
-		CaptureFinal:   capture,
-		NoAffinity:     e.opts.NoAffinity,
+		Record:       !e.opts.DiscardOutputs,
+		Paranoid:     e.opts.Paranoid,
+		Ctx:          ctx,
+		Probe:        &e.probe,
+		Trace:        e.opts.Trace,
+		Metrics:      e.opts.Metrics,
+		CaptureFinal: capture,
+		NoAffinity:   e.opts.NoAffinity,
 	}
 	if rs != nil {
 		cfg.InitVals = rs.InVal
@@ -156,6 +144,7 @@ func (e *lpHJEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.
 		hcfg.StealMax = 1
 	}
 	if ch := e.opts.Chaos; ch != nil {
+		cfg.NewInterceptor = ch.Intercept
 		hcfg.TaskHook = ch.Task
 		hcfg.WakeHook = ch.Wake
 	}

@@ -133,9 +133,9 @@ func TestWatchdogDiagIncludesTraceTail(t *testing.T) {
 	rec := obs.NewRecorder(0)
 
 	inj := chaos.New(chaos.Config{Seed: 9, DropNulls: true})
-	eng := core.NewLPHJIntercepted(core.Options{
-		Workers: 2, Partitions: 4, Paranoid: true, Trace: rec,
-	}, inj.Factory())
+	eng := core.NewLPHJ(core.Options{
+		Workers: 2, Partitions: 4, Paranoid: true, Trace: rec, Chaos: inj.Hooks(),
+	})
 
 	_, err := core.Supervise(context.Background(), eng, c, stim,
 		core.SuperviseConfig{Timeout: 30 * time.Second, StallTimeout: 300 * time.Millisecond})

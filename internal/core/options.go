@@ -3,6 +3,7 @@ package core
 import (
 	"hjdes/internal/circuit"
 	"hjdes/internal/hj"
+	"hjdes/internal/lp"
 	"hjdes/internal/obs"
 )
 
@@ -136,22 +137,29 @@ type Options struct {
 	// count overrides Options.Workers.
 	Runtime *hj.Runtime
 
-	// Chaos, when non-nil, injects scheduler-level faults into the
-	// parallel runtimes: Task fires before each task/LP body (may panic),
-	// Wake may drop or delay a worker wakeup, Rollback may force a Time
-	// Warp node to roll back. Wired by internal/chaos.SchedInjector; nil
-	// costs the hot paths one branch.
+	// Chaos, when non-nil, injects faults: Intercept wraps every lp-hj
+	// LP's cross-partition sends, Task fires before each task/LP body
+	// (may panic), Wake may drop or delay a worker wakeup, Rollback may
+	// force a Time Warp node to roll back. Each engine consults the hooks
+	// it has injection sites for and ignores the rest. Wired by
+	// internal/chaos.Injector; nil costs the hot paths one branch.
 	Chaos *ChaosHooks
 }
 
-// ChaosHooks are the scheduler-level fault-injection points the engines
-// honor. All hooks must be safe for concurrent use and deterministic for
-// a fixed seed (internal/chaos derives every decision from a hash of the
-// seed and a per-hook call counter, never from shared RNG state). Any
-// field may be nil.
+// ChaosHooks are the fault-injection points the engines honor. All
+// hooks must be safe for concurrent use and deterministic for a fixed
+// seed (internal/chaos derives every decision from a hash of the seed
+// and a per-hook call counter, or from a per-LP seeded RNG, never from
+// shared RNG state). Any field may be nil.
 type ChaosHooks struct {
-	// Task runs before a task/actor/LP body with the executing unit's id
-	// (worker id for hj/galois, node id for actor/timewarp, 0 for seq).
+	// Intercept builds one LP's message-plane interceptor: lp-hj sends
+	// every cross-partition message of LP lpID through it (lp.Config.
+	// NewInterceptor). It may return nil for LPs to leave untouched.
+	// Slices are mutually exclusive per LP, so interceptor state needs no
+	// locking.
+	Intercept func(lpID int) lp.Interceptor
+	// Task runs before a task/LP body with the executing unit's id
+	// (worker id for hj/galois/lp-hj, node id for timewarp, 0 for seq).
 	// A panic here is contained by the engine's normal panic path and
 	// surfaces as a retryable FailPanic EngineError.
 	Task func(unit int)

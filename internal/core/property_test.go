@@ -40,7 +40,6 @@ func TestPropertyRandomCircuitEnginesAgree(t *testing.T) {
 			NewHJ(Options{Workers: 3, NoAffinity: true}),
 			NewHJ(Options{Workers: 3, SingleSteal: true}),
 			NewGalois(Options{Workers: 2}),
-			NewActor(Options{}),
 			NewLPHJ(Options{Partitions: 1}),
 			NewLPHJ(Options{Partitions: 2}),
 			NewLPHJ(Options{Partitions: 3}),

@@ -26,7 +26,6 @@ var (
 		"galois":         NewGalois,
 		"galois-fine":    NewGaloisFine,
 		"galois-ordered": NewOrdered,
-		"actor":          NewActor,
 		"timewarp":       NewTimeWarp,
 		// "lp" is a name for the lp-hj engine, which reports Name() == "lp-hj".
 		"lp": NewLPHJ,

@@ -102,7 +102,7 @@ func TestEngineNamesSorted(t *testing.T) {
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("EngineNames not sorted: %v", names)
 	}
-	for _, want := range []string{"seq", "hj", "lp", "lp-hj", "galois", "actor", "timewarp", "tw-hj"} {
+	for _, want := range []string{"seq", "hj", "lp", "lp-hj", "galois", "timewarp", "tw-hj"} {
 		found := false
 		for _, n := range names {
 			if n == want {

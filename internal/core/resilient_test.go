@@ -23,7 +23,7 @@ func TestEngineErrorClassification(t *testing.T) {
 		{"timeout", &EngineError{Engine: "lp", Reason: FailTimeout}, true, true, false},
 		{"stall", &EngineError{Engine: "galois", Reason: FailStall}, true, false, false},
 		{"cancel", &EngineError{Engine: "seq", Reason: FailCancel}, false, false, true},
-		{"wrapped panic", &EngineError{Engine: "actor", Reason: FailPanic, Err: inner}, true, false, false},
+		{"wrapped panic", &EngineError{Engine: "hj", Reason: FailPanic, Err: inner}, true, false, false},
 		{"plain error", errors.New("protocol violation"), false, false, false},
 		{"nil", nil, false, false, false},
 	}
@@ -40,7 +40,7 @@ func TestEngineErrorClassification(t *testing.T) {
 			}
 		})
 	}
-	wrapped := &EngineError{Engine: "actor", Reason: FailPanic, Err: inner}
+	wrapped := &EngineError{Engine: "hj", Reason: FailPanic, Err: inner}
 	if !errors.Is(wrapped, inner) {
 		t.Fatal("EngineError does not unwrap to its cause")
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"runtime/debug"
 
 	"hjdes/internal/core"
 	"hjdes/internal/obs"
@@ -169,17 +168,15 @@ func LPKSweep(cfg Config, ks []int) ([]BenchRecord, error) {
 // Unlike BenchSweep this measures the engines hand-rolled and
 // interleaved — repeat i of every engine runs before repeat i+1 of any —
 // so slow drift in machine load cannot bias one side of the
-// head-to-head. For the same reason the collector is paced off for the
-// duration of the sweep with an explicit GC at every repeat boundary:
-// both engines recycle hot-path buffers through sync.Pool-backed
-// arenas, which the collector wipes, so with automatic GC the allocs/op
-// column would measure collector timing relative to pool occupancy
-// instead of what the engines allocate. The explicit GC leaves those
-// pools empty, so an uncounted warmup run follows it before each
-// measured run: the measurement reflects warm steady state. The
-// head-to-head is decided on min_s.
+// head-to-head. Every repeat starts from the same heap state: an explicit
+// GC, then an uncounted warm-up run that refills the sync.Pool-backed
+// arenas the GC emptied, then the measured run. The collector stays on
+// during the measured run. An unbounded-window tw-hj run allocates
+// gigabytes, so pacing the collector off for the sweep gets the process
+// OOM-killed; the cost is that a mid-run collection may wipe the pools
+// and add a few allocations to allocs/op. The head-to-head is decided
+// on min_s.
 func TWSweep(cfg Config, windows []int64) ([]BenchRecord, error) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	names := []string{"timewarp", "tw-hj"}
 	var records []BenchRecord
 	for _, pc := range cfg.circuits() {

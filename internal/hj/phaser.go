@@ -11,10 +11,9 @@ import "sync"
 // Unlike Async tasks — which are run-to-completion closures on the
 // work-stealing deques and therefore cannot suspend mid-task — phased
 // participants are long-running activities. ForAllPhased runs each
-// participant on its own goroutine, exactly as the actor engine runs
-// nodes; the deadlock-freedom argument is the classic cyclic-barrier
-// one: every registered participant either reaches Next or returns
-// (deregistering), so no phase can wait forever.
+// participant on its own goroutine; the deadlock-freedom argument is the
+// classic cyclic-barrier one: every registered participant either
+// reaches Next or returns (deregistering), so no phase can wait forever.
 type Phaser struct {
 	mu         sync.Mutex
 	cond       *sync.Cond

@@ -44,9 +44,9 @@ type CutEdge struct {
 // Channel is one directed partition-to-partition message channel,
 // aggregating every cut edge with the same (From, To) pair.
 type Channel struct {
-	From, To  int     // partition indices
-	Lookahead int64   // min lookahead over Edges
-	Edges     []int   // indices into Plan.CutEdges
+	From, To  int   // partition indices
+	Lookahead int64 // min lookahead over Edges
+	Edges     []int // indices into Plan.CutEdges
 }
 
 // Plan is the result of partitioning: the node→partition assignment, the

@@ -13,8 +13,8 @@ package queue
 // exactly the design the paper adopts in Section 4.5.1.
 type Deque[T any] struct {
 	buf   []T
-	head  int // index of the first element
-	n     int // number of elements
+	head  int       // index of the first element
+	n     int       // number of elements
 	arena *Arena[T] // optional ring recycler; nil means plain allocation
 }
 

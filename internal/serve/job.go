@@ -31,9 +31,9 @@ type JobSpec struct {
 	Retries         int      `json:"retries,omitempty"`
 	Fallback        []string `json:"fallback,omitempty"`
 	CheckpointEvery int      `json:"checkpoint_every,omitempty"`
-	// Chaos is a fault-injection spec (chaos.ParseSpec grammar for the lp
-	// engine, chaos.ParseSchedSpec for the rest). Chaotic jobs always run
-	// on a private runtime, never a pooled one.
+	// Chaos is a fault-injection spec (chaos.ParseSpec grammar; each
+	// engine takes the faults it has injection sites for). Chaotic jobs
+	// always run on a private runtime, never a pooled one.
 	Chaos string `json:"chaos,omitempty"`
 	// Trace attaches a flight recorder; the drained events are served as
 	// Chrome trace JSON at /trace/{id} after the job finishes.
@@ -123,14 +123,14 @@ type JobView struct {
 	Spec     JobSpec    `json:"spec"`
 	Result   *JobResult `json:"result,omitempty"`
 	Error    string     `json:"error,omitempty"`
-	QueuedMS float64    `json:"queued_ms"`           // admission -> start (or now)
-	RunMS    float64    `json:"run_ms,omitempty"`    // start -> finish (or now)
-	Trace    bool       `json:"trace"`               // /trace/{id} will serve this job
-	Resumes  int64      `json:"resumes,omitempty"`   // attempts resumed from a checkpoint
+	QueuedMS float64    `json:"queued_ms"`         // admission -> start (or now)
+	RunMS    float64    `json:"run_ms,omitempty"`  // start -> finish (or now)
+	Trace    bool       `json:"trace"`             // /trace/{id} will serve this job
+	Resumes  int64      `json:"resumes,omitempty"` // attempts resumed from a checkpoint
 	Ckpt     int64      `json:"checkpoints,omitempty"`
 	// CheckpointSeg is set on interrupted checkpointed jobs: the segment
 	// index a resubmitted run would resume from.
-	CheckpointSeg int `json:"checkpoint_seg,omitempty"`
+	CheckpointSeg int       `json:"checkpoint_seg,omitempty"`
 	SubmittedAt   time.Time `json:"submitted_at"`
 }
 

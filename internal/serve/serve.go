@@ -78,7 +78,7 @@ func (c Config) defaultTimeout() time.Duration {
 // http.Server, stop with Drain.
 type Server struct {
 	cfg  Config
-	reg  *obs.Registry    // shared across all jobs: the /metrics truth
+	reg  *obs.Registry     // shared across all jobs: the /metrics truth
 	pool *core.RuntimePool // shared hj runtimes (Options.Runtime)
 
 	admitMu  sync.Mutex // guards queue send vs close (drain)
@@ -180,32 +180,18 @@ func (s *Server) runJob(shard int, j *job) {
 		defer func() { s.pool.Put(rt) }()
 	}
 
-	// Engine construction mirrors dessim: lp chaos rides the message
-	// plane (mailbox interceptors), everything else takes scheduler hooks.
-	var eng core.Engine
-	switch {
-	case j.spec.Chaos != "" && (j.spec.Engine == "lp" || j.spec.Engine == "lp-hj"):
+	if j.spec.Chaos != "" {
 		ccfg, err := chaos.ParseSpec(j.spec.Chaos)
 		if err != nil {
 			fail(err)
 			return
 		}
-		eng = core.NewLPHJIntercepted(opts, chaos.New(ccfg).Factory())
-	case j.spec.Chaos != "":
-		ccfg, err := chaos.ParseSchedSpec(j.spec.Chaos)
-		if err != nil {
-			fail(err)
-			return
-		}
-		opts.Chaos = chaos.NewSched(ccfg).Hooks()
-		fallthrough
-	default:
-		var err error
-		eng, err = core.NewEngine(j.spec.Engine, opts)
-		if err != nil { // validated at admission; registry is append-only
-			fail(err)
-			return
-		}
+		opts.Chaos = chaos.New(ccfg).Hooks()
+	}
+	eng, err := core.NewEngine(j.spec.Engine, opts)
+	if err != nil { // validated at admission; registry is append-only
+		fail(err)
+		return
 	}
 
 	timeout := s.cfg.defaultTimeout()
@@ -354,12 +340,12 @@ type MetricsView struct {
 // ServiceStats are the service-level gauges (not part of the registry:
 // they are instantaneous states, not monotone counters).
 type ServiceStats struct {
-	QueueDepth  int            `json:"queue_depth"`
-	QueueCap    int            `json:"queue_cap"`
-	Running     int            `json:"running"`
-	Concurrency int            `json:"concurrency"`
-	Draining    bool           `json:"draining"`
-	Jobs        map[string]int `json:"jobs"` // status -> count
+	QueueDepth  int                   `json:"queue_depth"`
+	QueueCap    int                   `json:"queue_cap"`
+	Running     int                   `json:"running"`
+	Concurrency int                   `json:"concurrency"`
+	Draining    bool                  `json:"draining"`
+	Jobs        map[string]int        `json:"jobs"` // status -> count
 	Pool        core.RuntimePoolStats `json:"pool"`
 }
 

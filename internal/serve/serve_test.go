@@ -91,7 +91,7 @@ func TestServeJobsAcrossEngines(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	engines := []string{"seq", "hj", "lp", "galois", "actor", "timewarp"}
+	engines := []string{"seq", "hj", "lp", "galois", "timewarp"}
 	ids := make(map[string]string, len(engines))
 	for _, eng := range engines {
 		ids[eng] = submitOK(t, ts, JobSpec{Circuit: "koggestone-16", Engine: eng, Waves: 4, Seed: 9, Workers: 2})
@@ -513,6 +513,31 @@ func TestServeChaoticJobDegrades(t *testing.T) {
 	}
 	if !v.Result.Degraded || v.Result.Engine != "seq" {
 		t.Fatalf("expected degraded seq result, got engine %q degraded=%v", v.Result.Engine, v.Result.Degraded)
+	}
+}
+
+// TestServeLPChaoticJob runs an lp job under message-plane chaos (delayed
+// event messages, LPs killed and restarted from in-run checkpoints)
+// through the HTTP API. The job must finish done with the same event
+// count as a clean seq job on the same circuit and stimulus.
+func TestServeLPChaoticJob(t *testing.T) {
+	s := New(Config{QueueCap: 4, Concurrency: 2})
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := JobSpec{Circuit: "koggestone-16", Engine: "seq", Waves: 6, Seed: 5, Workers: 2, Partitions: 4, TimeoutMS: 30000}
+	refID := submitOK(t, ts, spec)
+	spec.Engine, spec.Chaos = "lp", "seed=7,kill=1,maxkills=2,delay=0.2"
+	id := submitOK(t, ts, spec)
+
+	ref := waitJob(t, ts, refID, 30*time.Second)
+	v := waitJob(t, ts, id, 60*time.Second)
+	if ref.Status != StatusDone || v.Status != StatusDone {
+		t.Fatalf("seq job %q (%s), chaotic lp job %q (%s)", ref.Status, ref.Error, v.Status, v.Error)
+	}
+	if v.Result.Events != ref.Result.Events {
+		t.Fatalf("chaotic lp job processed %d events, seq %d", v.Result.Events, ref.Result.Events)
 	}
 }
 
