@@ -94,17 +94,76 @@ func lessTWEvent(a, b twEvent) bool {
 	return a.ID < b.ID
 }
 
-// twSend records one emission for possible cancellation.
-type twSend struct {
-	edge int32 // index into the node's fanout
-	ev   twEvent
+// twGate is the per-node identity and wiring both Time Warp engines
+// share, with the emission numbering their rollback logs rely on.
+type twGate struct {
+	id      int32
+	kind    circuit.Kind
+	delay   int64
+	fanout  []dest
+	emitSeq int64 // last emission number; the first emission is 1
+}
+
+// twOut is what a log record keeps of its step's emissions. A step
+// sends one event per fanout slot, all carrying val at the same time,
+// under consecutive emission numbers from seq0 — so a rollback rebuilds
+// every anti-message from these two fields instead of storing the
+// sends. seq0 == 0 marks a step that sent nothing (terminals).
+type twOut struct {
+	seq0 int64
+	val  circuit.Value
+}
+
+// stamp gives ev a fresh emission ID and the port that fanout slot
+// feeds.
+func (g *twGate) stamp(slot int, ev twEvent) twEvent {
+	g.emitSeq++
+	ev.ID = int64(g.id)<<40 | g.emitSeq
+	ev.Port = g.fanout[slot].port
+	return ev
+}
+
+// step applies ev to the input wires in inVal and, for a gate, appends
+// one stamped output event to each fanout slot's buffer in bufs. It
+// returns the record of what was sent.
+func (g *twGate) step(inVal *[2]circuit.Value, ev twEvent, bufs [][]twEvent) twOut {
+	inVal[ev.Port] = ev.Value
+	if g.kind == circuit.Output || g.kind == circuit.Input {
+		return twOut{}
+	}
+	v := g.kind.Eval(inVal[0], inVal[1])
+	out := twEvent{Time: ev.Time + g.delay + circuit.WireDelay, Value: v}
+	rec := twOut{seq0: g.emitSeq + 1, val: v}
+	for slot := range g.fanout {
+		bufs[slot] = append(bufs[slot], g.stamp(slot, out))
+	}
+	return rec
+}
+
+// cancel appends to each fanout slot's buffer in bufs the anti-message
+// for that slot's emission of the step that processed ev and recorded
+// out, rebuilt from the record, and returns how many it sent.
+func (g *twGate) cancel(bufs [][]twEvent, ev twEvent, out twOut) int64 {
+	if out.seq0 == 0 {
+		return 0
+	}
+	for slot := range g.fanout {
+		bufs[slot] = append(bufs[slot], twEvent{
+			Time:  ev.Time + g.delay + circuit.WireDelay,
+			ID:    int64(g.id)<<40 | (out.seq0 + int64(slot)),
+			Port:  g.fanout[slot].port,
+			Value: out.val,
+			Anti:  true,
+		})
+	}
+	return int64(len(g.fanout))
 }
 
 // twRecord is one processed event with its pre-state, for rollback.
 type twRecord struct {
 	ev     twEvent
 	preVal [2]circuit.Value
-	sends  []twSend
+	out    twOut
 }
 
 // twInEdge locates one incoming edge's double-buffered channel.
@@ -115,10 +174,7 @@ type twInEdge struct {
 
 // twNode is the Time Warp state of one circuit node.
 type twNode struct {
-	id     int32
-	kind   circuit.Kind
-	delay  int64
-	fanout []dest
+	twGate
 	inEdge []twInEdge
 
 	inputQ    *queue.Heap[twEvent]
@@ -126,7 +182,6 @@ type twNode struct {
 	log       []twRecord
 	inVal     [2]circuit.Value
 	lvt       int64
-	emitSeq   int64
 
 	// Double-buffered per-fanout-edge outboxes: bank (round%2) is
 	// written this round, the other bank is read by destinations.
@@ -244,7 +299,7 @@ func (e *twEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.St
 		for _, tr := range n.transitions {
 			ev := twEvent{Time: tr.Time + circuit.WireDelay, Value: tr.Value}
 			for slot := range n.fanout {
-				n.emit(0, slot, ev)
+				n.outBuf[0][slot] = append(n.outBuf[0][slot], n.stamp(slot, ev))
 			}
 		}
 	}
@@ -378,23 +433,6 @@ func (e *twEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.St
 	return res, final, nil
 }
 
-// emit appends an event to the node's outbox bank for the given fanout
-// slot, stamping a fresh emission ID.
-func (n *twNode) emit(bank, slot int, ev twEvent) {
-	n.emitSeq++
-	ev.ID = int64(n.id)<<40 | n.emitSeq
-	ev.Port = n.fanout[slot].port
-	n.outBuf[bank][slot] = append(n.outBuf[bank][slot], ev)
-}
-
-// emitAnti sends an anti-message cancelling a recorded send.
-func (n *twNode) emitAnti(bank int, s twSend) {
-	anti := s.ev
-	anti.Anti = true
-	n.outBuf[bank][s.edge] = append(n.outBuf[bank][s.edge], anti)
-	n.antis++
-}
-
 // round is one node's BSP step: absorb arrivals from the read bank
 // (handling stragglers and anti-messages with rollbacks), then process
 // optimistically into the write bank.
@@ -451,19 +489,11 @@ func (n *twNode) round(r *twRun, read, write int) {
 	}
 }
 
-// process executes one event optimistically, logging state and sends.
+// process executes one event optimistically, logging its pre-state and
+// what it sent.
 func (n *twNode) process(bank int, ev twEvent) {
 	rec := twRecord{ev: ev, preVal: n.inVal}
-	n.inVal[ev.Port] = ev.Value
-	if n.kind != circuit.Output && n.kind != circuit.Input {
-		v := n.kind.Eval(n.inVal[0], n.inVal[1])
-		out := twEvent{Time: ev.Time + n.delay + circuit.WireDelay, Value: v}
-		for slot := range n.fanout {
-			n.emit(bank, slot, out)
-			sent := n.outBuf[bank][slot][len(n.outBuf[bank][slot])-1]
-			rec.sends = append(rec.sends, twSend{edge: int32(slot), ev: sent})
-		}
-	}
+	rec.out = n.step(&n.inVal, ev, n.outBuf[bank])
 	n.log = append(n.log, rec)
 	n.lvt = ev.Time
 }
@@ -502,9 +532,7 @@ func (n *twNode) rollbackBefore(r *twRun, bank int, t int64, dropID int64) {
 	n.rollbacks++
 	for i := len(n.log) - 1; i >= cut; i-- {
 		rec := &n.log[i]
-		for _, s := range rec.sends {
-			n.emitAnti(bank, s)
-		}
+		n.antis += n.cancel(n.outBuf[bank], rec.ev, rec.out)
 		n.undone++
 		if rec.ev.ID != dropID {
 			n.inputQ.Push(rec.ev)

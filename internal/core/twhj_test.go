@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"hjdes/internal/circuit"
@@ -178,4 +180,58 @@ func TestTWHJOptionValidation(t *testing.T) {
 			t.Fatalf("opts %+v: want FailConfig EngineError, got %v", opts, err)
 		}
 	}
+}
+
+// TestTWHJAllocFloor pins tw-hj's allocation floor on the benchmark's
+// kogge64 configuration (koggestone-64, 2 waves, window 64, 2 workers):
+// processing an event allocates nothing — log records rebuild their
+// anti-messages and the per-port queues grow by doubling — so what
+// remains is set-up and amortized slice growth (0.32 per committed
+// event). Storing each step's sends in its record measured 1.98; the
+// bound is 0.5.
+func TestTWHJAllocFloor(t *testing.T) {
+	c := circuit.KoggeStone(64)
+	stim := circuit.RandomStimulus(c, 2, c.SettleTime()+10, 1)
+	e := NewTWHJ(Options{Workers: 2, TimeWarpWindow: 64, DiscardOutputs: true})
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res, err := e.Run(c, stim)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEvent := float64(m1.Mallocs-m0.Mallocs) / float64(res.TotalEvents)
+	t.Logf("%d allocations for %d committed events (%.3f each; %d rolled back)",
+		m1.Mallocs-m0.Mallocs, res.TotalEvents, perEvent, res.TimeWarp.Undone)
+	if perEvent > 0.5 {
+		t.Fatalf("tw-hj allocates %.3f objects per committed event, want <= 0.5", perEvent)
+	}
+}
+
+// TestTWHJAnnihilate checks the two ends of the cheap cancel: an
+// anti-message whose twin is still pending removes it from its port
+// queue, and one whose twin is neither pending nor logged is a protocol
+// violation that panics (inside a run, the hj worker turns that into a
+// FailPanic EngineError) instead of leaving a tombstone.
+func TestTWHJAnnihilate(t *testing.T) {
+	r := &twhjRun{}
+	n := &twhjNode{lvt: -1}
+	pos := twEvent{Time: 7, ID: 1<<40 | 3, Port: 1, Value: 1}
+	n.absorb(r, pos)
+	n.absorb(r, twEvent{Time: 9, ID: 1<<40 | 4, Port: 1})
+	anti := pos
+	anti.Anti = true
+	n.absorb(r, anti)
+	if n.pending[1].n != 1 || n.pending[1].front().ID != 1<<40|4 {
+		t.Fatalf("cheap cancel left port 1 holding %d events", n.pending[1].n)
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "matches no pending or processed event") {
+			t.Fatalf("unmatched anti-message: recovered %q, want the protocol-violation panic", msg)
+		}
+	}()
+	n.absorb(r, anti)
 }

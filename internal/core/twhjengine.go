@@ -13,7 +13,6 @@ import (
 	"hjdes/internal/hj"
 	"hjdes/internal/lp"
 	"hjdes/internal/obs"
-	"hjdes/internal/queue"
 )
 
 func init() { RegisterEngine("tw-hj", NewTWHJ) }
@@ -116,12 +115,13 @@ type (
 // twhjRecord is one processed event in the rollback log. Under
 // incremental state saving only anchor records carry the pre-state;
 // rollback to a non-anchor record replays forward from the nearest
-// earlier anchor (coast-forward).
+// earlier anchor (coast-forward). out rebuilds the step's
+// anti-messages, so a record allocates nothing beyond its log slot.
 type twhjRecord struct {
 	ev     twEvent
 	preVal [2]circuit.Value
 	hasPre bool
-	sends  []twSend
+	out    twOut
 }
 
 // gvtCell is one node's GVT accounting, alone on its cache line: the
@@ -141,18 +141,13 @@ type gvtCell struct {
 // the scheduled-flag protocol makes exclusive); the mailbox head and
 // the scheduled flag after the pad are written by peers.
 type twhjNode struct {
-	id     int32
-	home   int32 // home hj worker (submit-to-owner affinity)
-	kind   circuit.Kind
-	delay  int64
-	fanout []dest
+	twGate
+	home int32 // home hj worker (submit-to-owner affinity)
 
-	inputQ    *queue.Heap[twEvent]
-	cancelled map[int64]bool // tombstones for annihilated queued events
+	pending   [2]twPortQ // per-input-port pending events, sorted by lessTWEvent
 	log       []twhjRecord
 	inVal     [2]circuit.Value
 	lvt       int64
-	emitSeq   int64
 	sliceSeq  int64 // chaos rollback key and EvSlice counter
 	sinceSave int   // events since the last state-saving anchor
 
@@ -328,8 +323,6 @@ func (e *twhjEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.
 			n.fanout[j] = dest{node: int32(p.Node), port: int32(p.In)}
 		}
 		n.out = make([][]twEvent, len(n.fanout))
-		n.inputQ = queue.NewHeap(lessTWEvent)
-		n.cancelled = map[int64]bool{}
 		n.lvt = -1
 		n.ring = e.opts.Trace.Ring(i)
 		r.cells[i].floor.Store(TimeInfinity)
@@ -353,11 +346,7 @@ func (e *twhjEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.
 		for slot := range n.fanout {
 			batch := make([]twEvent, 0, len(n.transitions))
 			for _, tr := range n.transitions {
-				ev := twEvent{Time: tr.Time + circuit.WireDelay, Value: tr.Value}
-				n.emitSeq++
-				ev.ID = int64(n.id)<<40 | n.emitSeq
-				ev.Port = n.fanout[slot].port
-				batch = append(batch, ev)
+				batch = append(batch, n.stamp(slot, twEvent{Time: tr.Time + circuit.WireDelay, Value: tr.Value}))
 			}
 			if len(batch) == 0 {
 				continue
@@ -534,7 +523,7 @@ func (r *twhjRun) slice(hctx *hj.Ctx, id int32) {
 		// governs memory and the adaptive throttle, not the horizon).
 		horizon := TimeInfinity
 		if w := r.effWin.Load(); w > 0 {
-			if top, ok := n.inputQ.Peek(); ok {
+			if top := n.next(); top != nil {
 				if horizon = top.Time + w; horizon < top.Time {
 					horizon = TimeInfinity // overflow on huge windows
 				}
@@ -542,16 +531,11 @@ func (r *twhjRun) slice(hctx *hj.Ctx, id int32) {
 		}
 		processed := 0
 		for {
-			top, ok := n.inputQ.Peek()
-			if !ok || top.Time > horizon {
+			top := n.next()
+			if top == nil || top.Time > horizon {
 				break
 			}
-			ev, _ := n.inputQ.Pop()
-			if n.cancelled[ev.ID] {
-				delete(n.cancelled, ev.ID)
-				continue
-			}
-			n.process(r, ev)
+			n.process(r, n.pending[top.Port].popFront())
 			if processed++; processed%1024 == 0 && r.done.Load() {
 				return
 			}
@@ -567,7 +551,7 @@ func (r *twhjRun) slice(hctx *hj.Ctx, id int32) {
 		n.flush(r, hctx)
 		floor := int64(TimeInfinity)
 		pending := false
-		if top, ok := n.inputQ.Peek(); ok {
+		if top := n.next(); top != nil {
 			floor, pending = top.Time, true
 		}
 		cell.floor.Store(floor)
@@ -605,7 +589,8 @@ func (r *twhjRun) slice(hctx *hj.Ctx, id int32) {
 }
 
 // absorb applies one received event: anti-messages annihilate, late
-// positives (stragglers) roll the node back, and everything else queues.
+// positives (stragglers) roll the node back, and everything else queues
+// on its port.
 func (n *twhjNode) absorb(r *twhjRun, ev twEvent) {
 	if ev.Anti {
 		n.annihilate(r, ev)
@@ -615,15 +600,34 @@ func (n *twhjNode) absorb(r *twhjRun, ev twEvent) {
 		n.stragglers++
 		n.rollbackBefore(r, ev.Time, -1)
 	}
-	n.inputQ.Push(ev)
+	n.pending[ev.Port].pushBack(ev)
 }
 
-// annihilate handles an anti-message: roll back the processing of the
-// matching positive, or tombstone it in the queue. Positives always
-// arrive before their antis (per-sender FIFO through the mailbox), and
-// a fossil-collected positive can never meet its anti (any in-transit
-// anti blocks the GVT snapshot; see DESIGN §16).
+// next returns the earliest pending event across both ports under
+// lessTWEvent (the (Time, ID) order the engine processes in), or nil.
+// The event's Port names the queue it heads.
+func (n *twhjNode) next() *twEvent {
+	q0, q1 := &n.pending[0], &n.pending[1]
+	if q1.n > 0 && (q0.n == 0 || lessTWEvent(*q1.front(), *q0.front())) {
+		return q1.front()
+	}
+	if q0.n > 0 {
+		return q0.front()
+	}
+	return nil
+}
+
+// annihilate handles an anti-message: remove its still-pending twin
+// (the cheap cancel), or roll back the twin's processing. Positives
+// always arrive before their antis (per-sender FIFO through the
+// mailbox), and a fossil-collected positive can never meet its anti
+// (any in-transit anti blocks the GVT snapshot; see DESIGN §16) — so an
+// anti that finds no twin is a protocol violation, and panics.
 func (n *twhjNode) annihilate(r *twhjRun, anti twEvent) {
+	if n.pending[anti.Port].remove(anti.Time, anti.ID) {
+		n.ring.Record(obs.EvAbort, int64(n.id), anti.Time)
+		return
+	}
 	// The log is nondecreasing in event time (a straggler truncates it
 	// before being appended), so only the anti's own time cohort can
 	// hold the matching positive — binary-search to it instead of
@@ -635,8 +639,7 @@ func (n *twhjNode) annihilate(r *twhjRun, anti twEvent) {
 			return
 		}
 	}
-	n.ring.Record(obs.EvAbort, int64(n.id), anti.Time)
-	n.cancelled[anti.ID] = true
+	panic(fmt.Sprintf("tw-hj: node %d: anti-message t=%d id=%#x matches no pending or processed event", n.id, anti.Time, anti.ID))
 }
 
 // process executes one event optimistically. Pre-state is logged only
@@ -650,35 +653,9 @@ func (n *twhjNode) process(r *twhjRun, ev twEvent) {
 	} else {
 		n.sinceSave++
 	}
-	n.inVal[ev.Port] = ev.Value
-	if n.kind != circuit.Output && n.kind != circuit.Input {
-		v := n.kind.Eval(n.inVal[0], n.inVal[1])
-		out := twEvent{Time: ev.Time + n.delay + circuit.WireDelay, Value: v}
-		for slot := range n.fanout {
-			sent := n.emit(slot, out)
-			rec.sends = append(rec.sends, twSend{edge: int32(slot), ev: sent})
-		}
-	}
+	rec.out = n.step(&n.inVal, ev, n.out)
 	n.log = append(n.log, rec)
 	n.lvt = ev.Time
-}
-
-// emit stamps a fresh emission ID and buffers the event on the slot's
-// send buffer (flushed at slice end).
-func (n *twhjNode) emit(slot int, ev twEvent) twEvent {
-	n.emitSeq++
-	ev.ID = int64(n.id)<<40 | n.emitSeq
-	ev.Port = n.fanout[slot].port
-	n.out[slot] = append(n.out[slot], ev)
-	return ev
-}
-
-// emitAnti buffers an anti-message cancelling a recorded send.
-func (n *twhjNode) emitAnti(s twSend) {
-	anti := s.ev
-	anti.Anti = true
-	n.out[s.edge] = append(n.out[s.edge], anti)
-	n.antis++
 }
 
 // stateBefore reconstructs the input-wire state immediately before
@@ -730,14 +707,14 @@ func (n *twhjNode) rollbackBefore(r *twhjRun, t int64, dropID int64) {
 	n.rollbacks++
 	state := n.stateBefore(cut)
 	undone := int64(len(n.log) - cut)
+	// Newest first: each re-queued event goes back at the front of its
+	// port, ahead of everything that arrived after it was processed.
 	for i := len(n.log) - 1; i >= cut; i-- {
 		rec := &n.log[i]
-		for _, s := range rec.sends {
-			n.emitAnti(s)
-		}
+		n.antis += n.cancel(n.out, rec.ev, rec.out)
 		n.undone++
 		if rec.ev.ID != dropID {
-			n.inputQ.Push(rec.ev)
+			n.pending[rec.ev.Port].pushFront(rec.ev)
 		}
 	}
 	n.inVal = state

@@ -134,7 +134,9 @@ type JobView struct {
 	SubmittedAt   time.Time `json:"submitted_at"`
 }
 
-// job is the server-side record of one admitted job.
+// job is the server-side record of one admitted job. The server keeps
+// it for its whole life, so c and stim — the job's inputs, read once by
+// runJob — are dropped when the job finishes (see finishLocked).
 type job struct {
 	id   string
 	spec JobSpec
@@ -159,10 +161,17 @@ func (j *job) markRunning() {
 	j.mu.Unlock()
 }
 
+// finishLocked moves the job to a final status and releases its
+// circuit and stimulus. The caller holds j.mu.
+func (j *job) finishLocked(status string) {
+	j.status = status
+	j.finished = time.Now()
+	j.c, j.stim = nil, nil
+}
+
 func (j *job) markDone(res *core.Result) {
 	j.mu.Lock()
-	j.status = StatusDone
-	j.finished = time.Now()
+	j.finishLocked(StatusDone)
 	j.result = &JobResult{
 		Engine:    res.Engine,
 		Workers:   res.Workers,
@@ -177,16 +186,14 @@ func (j *job) markDone(res *core.Result) {
 
 func (j *job) markFailed(err error) {
 	j.mu.Lock()
-	j.status = StatusFailed
-	j.finished = time.Now()
+	j.finishLocked(StatusFailed)
 	j.errMsg = err.Error()
 	j.mu.Unlock()
 }
 
 func (j *job) markInterrupted(err error) {
 	j.mu.Lock()
-	j.status = StatusInterrupted
-	j.finished = time.Now()
+	j.finishLocked(StatusInterrupted)
 	j.errMsg = err.Error()
 	j.mu.Unlock()
 }

@@ -556,3 +556,83 @@ func TestServeSubmitSmallestJob(t *testing.T) {
 		t.Fatalf("minimal job: %q (%s)", v.Status, v.Error)
 	}
 }
+
+// TestServeReleasesFinishedJobInputs checks that a finished job keeps no
+// circuit or stimulus — a long-lived server must not hold every job's
+// inputs — for each final status, and that releasing them leaves what
+// GET /jobs/{id} and /trace/{id} serve unchanged.
+func TestServeReleasesFinishedJobInputs(t *testing.T) {
+	s := New(Config{QueueCap: 4, Concurrency: 1, DrainTimeout: 50 * time.Millisecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	record := func(id string) *job {
+		s.jobsMu.Lock()
+		defer s.jobsMu.Unlock()
+		return s.jobs[id]
+	}
+	released := func(id string) {
+		t.Helper()
+		j := record(id)
+		j.mu.Lock()
+		c, stim := j.c, j.stim
+		j.mu.Unlock()
+		if c != nil || stim != nil {
+			t.Fatalf("finished job %s still holds its inputs (circuit %v, stimulus %v)", id, c != nil, stim != nil)
+		}
+	}
+	// stable checks the view and trace are the same when fetched again
+	// later (a finished job's view is frozen). An interrupted seq run is
+	// abandoned, not joined, and may still finish its current segment
+	// into the checkpoint store, so its checkpoint fields are left out.
+	stable := func(id string, v JobView) {
+		t.Helper()
+		time.Sleep(5 * time.Millisecond)
+		again, _ := s.Job(id)
+		if v.Status == StatusInterrupted {
+			v.Ckpt, v.CheckpointSeg, again.Ckpt, again.CheckpointSeg = 0, 0, 0, 0
+		}
+		a, _ := json.Marshal(v)
+		b, _ := json.Marshal(again)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("job %s view changed after finishing:\n%s\n%s", id, a, b)
+		}
+		if v.Trace && len(s.TraceEvents(id)) == 0 {
+			t.Fatalf("traced job %s serves no trace events", id)
+		}
+	}
+
+	done := submitOK(t, ts, JobSpec{Circuit: "koggestone-16", Engine: "hj", Waves: 4, Seed: 3, Workers: 2, Trace: true})
+	v := waitJob(t, ts, done, 30*time.Second)
+	if v.Status != StatusDone || v.Result == nil || v.Result.Events == 0 {
+		t.Fatalf("done job: %+v", v)
+	}
+	released(done)
+	stable(done, v)
+
+	failed := submitOK(t, ts, JobSpec{Circuit: "koggestone-16", Engine: "hj", Waves: 4, Seed: 3, Workers: 2, Chaos: "panic=1.0,seed=7"})
+	v = waitJob(t, ts, failed, 30*time.Second)
+	if v.Status != StatusFailed || v.Error == "" {
+		t.Fatalf("failed job: %q (%s)", v.Status, v.Error)
+	}
+	released(failed)
+	stable(failed, v)
+
+	interrupted := submitOK(t, ts, JobSpec{Circuit: "koggestone-32", Engine: "seq", Waves: 20000, Seed: 2, CheckpointEvery: 1})
+	for stop := time.Now().Add(30 * time.Second); ; {
+		if v, _ := s.Job(interrupted); v.Status == StatusRunning && v.Ckpt >= 1 {
+			break
+		}
+		if time.Now().After(stop) {
+			t.Fatal("long job saved no checkpoint in time")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	s.Drain()
+	v, _ = s.Job(interrupted)
+	if v.Status != StatusInterrupted || v.CheckpointSeg < 1 {
+		t.Fatalf("interrupted job: %q seg %d (%s)", v.Status, v.CheckpointSeg, v.Error)
+	}
+	released(interrupted)
+	stable(interrupted, v)
+}
